@@ -46,7 +46,6 @@ func main() {
 		segments = flag.Int("segments", 0, "DIT segment count (0 = default)")
 		ops      = flag.Int("ops", 2000, "measured operations per op type per population")
 		writers  = flag.Int("writers", 8, "concurrent populate/load writers")
-		attachWk = flag.Int("attach-workers", 0, "worker count for the parallel attach phase (0 = max(2, GOMAXPROCS))")
 		syncMode = flag.String("journal-sync", "group", "journal durability mode for the run")
 		outPath  = flag.String("out", "", "output JSON path (default BENCH_scale_<rev>.json)")
 		rev      = flag.String("rev", "", "revision tag for the record (default git rev-parse)")
@@ -80,7 +79,7 @@ func main() {
 	}
 	for _, n := range populations {
 		fmt.Fprintf(os.Stderr, "benchscale: population %d...\n", n)
-		pr, err := runPopulation(n, *segments, *ops, *writers, *attachWk, mode)
+		pr, err := runPopulation(n, *segments, *ops, *writers, mode)
 		if err != nil {
 			fatal(fmt.Errorf("population %d: %w", n, err))
 		}
@@ -106,8 +105,8 @@ func main() {
 			float64(p.ReplayNs)/1e6, float64(p.ReplayCompactedNs)/1e6,
 			p.CompactUnderLoad.RejectedWrites, p.CompactUnderLoad.WorstWriteUs)
 		for _, a := range p.AttachReplay {
-			fmt.Printf("    attach format=%-4s workers=%d records=%d wall=%.1fms records/s=%.0f MB/s=%.1f\n",
-				a.Format, a.Workers, a.Records, float64(a.WallNs)/1e6, a.RecordsPerSec, a.MBPerSec)
+			fmt.Printf("    attach workers=%d records=%d wall=%.1fms records/s=%.0f MB/s=%.1f\n",
+				a.Workers, a.Records, float64(a.WallNs)/1e6, a.RecordsPerSec, a.MBPerSec)
 		}
 	}
 }
@@ -155,15 +154,12 @@ type popResult struct {
 	CompactUnderLoad compactLoad `json:"compact_under_load"`
 
 	// AttachReplay (E22) measures cold attach over the compacted journal
-	// set in both record formats: v2 sequential, v2 on the worker pool,
-	// and JSON sequential (the set is migrated to JSON in between, then
-	// back — exercising the format migration both ways).
+	// set, sequential and on the worker pool.
 	AttachReplay []attachPhase `json:"attach_replay"`
 }
 
 // attachPhase is one timed cold attach of the journal set.
 type attachPhase struct {
-	Format        string  `json:"format"`
 	Workers       int     `json:"workers"`
 	Records       uint64  `json:"records"`
 	Bytes         uint64  `json:"bytes"`
@@ -200,7 +196,7 @@ func personAttrs(i int) *directory.Attrs {
 	})
 }
 
-func runPopulation(n, segments, ops, writers, attachWorkers int, mode directory.SyncMode) (popResult, error) {
+func runPopulation(n, segments, ops, writers int, mode directory.SyncMode) (popResult, error) {
 	dir, err := os.MkdirTemp("", "benchscale")
 	if err != nil {
 		return popResult{}, err
@@ -414,63 +410,48 @@ func runPopulation(n, segments, ops, writers, attachWorkers int, mode directory.
 		return pr, err
 	}
 
-	// E22 attach/replay phases over the compacted set: v2 sequential, v2
-	// on the worker pool, then (after migrating the set to JSON) JSON
-	// sequential — the v2-vs-JSON decode ratio and the parallel headroom.
-	parWorkers := attachWorkers
-	if parWorkers <= 0 {
-		parWorkers = runtime.GOMAXPROCS(0)
-		if parWorkers < 2 {
-			parWorkers = 2 // exercise the pool even on one CPU
-		}
-	}
-	// Each timed config takes the best of three attaches, and the two v2
+	// E22 attach/replay phases over the compacted set: sequential and on
+	// the worker pool — the parallel headroom. The pool is
+	// min(GOMAXPROCS, segments), so each phase sets GOMAXPROCS: 1 for
+	// sequential, max(2, GOMAXPROCS) for the pool (exercising it even on
+	// one CPU).
+	parWorkers := max(2, runtime.GOMAXPROCS(0))
+	// Each timed config takes the best of three attaches, and the two
 	// configs interleave their tries: a cold attach is one long measurement
 	// with no averaging, successive attaches in one process get gradually
 	// slower as the heap fragments, and noisy neighbors swing single runs —
 	// back-to-back triples would bias whichever config ran first.
-	attachBest := func(workers int, format directory.JournalFormat, best *attachPhase) error {
+	attachBest := func(workers int, best *attachPhase) error {
 		runtime.GC()
-		a, err := attachOnce(base, segments, n, workers, mode, format)
+		a, err := attachOnce(base, segments, n, workers, mode)
 		if err != nil {
-			return fmt.Errorf("attach phase %s/w%d: %w", format, workers, err)
+			return fmt.Errorf("attach phase w%d: %w", workers, err)
 		}
 		if best.WallNs == 0 || a.WallNs < best.WallNs {
 			*best = a
 		}
 		return nil
 	}
-	var seqBest, parBest, jsonBest attachPhase
+	var seqBest, parBest attachPhase
 	for t := 0; t < 3; t++ {
-		if err := attachBest(1, directory.FormatV2, &seqBest); err != nil {
+		if err := attachBest(1, &seqBest); err != nil {
 			return pr, err
 		}
-		if err := attachBest(parWorkers, directory.FormatV2, &parBest); err != nil {
-			return pr, err
-		}
-	}
-	// Migrate the set v2 -> JSON (untimed), time JSON replay, migrate back.
-	if _, err := attachOnce(base, segments, n, 1, mode, directory.FormatJSON); err != nil {
-		return pr, fmt.Errorf("migrate to json: %w", err)
-	}
-	for t := 0; t < 3; t++ {
-		if err := attachBest(1, directory.FormatJSON, &jsonBest); err != nil {
+		if err := attachBest(parWorkers, &parBest); err != nil {
 			return pr, err
 		}
 	}
-	if _, err := attachOnce(base, segments, n, 1, mode, directory.FormatV2); err != nil {
-		return pr, fmt.Errorf("migrate back to v2: %w", err)
-	}
-	pr.AttachReplay = append(pr.AttachReplay, seqBest, parBest, jsonBest)
+	pr.AttachReplay = append(pr.AttachReplay, seqBest, parBest)
 	return pr, nil
 }
 
-// attachOnce cold-attaches the journal set and reports the replay phase
-// stats the directory recorded (decode + link pass, excluding index build).
-func attachOnce(base string, segments, wantLen, workers int, mode directory.SyncMode, format directory.JournalFormat) (attachPhase, error) {
+// attachOnce cold-attaches the journal set with GOMAXPROCS set to workers
+// and reports the replay phase stats the directory recorded (decode + link
+// pass, excluding index build).
+func attachOnce(base string, segments, wantLen, workers int, mode directory.SyncMode) (attachPhase, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	d := directory.NewSegmented(mcschema.New(), segments)
-	if _, err := d.AttachJournalSet(directory.JournalSetConfig{
-		Base: base, Mode: mode, Format: format, Workers: workers}); err != nil {
+	if _, err := d.AttachJournalSet(directory.JournalSetConfig{Base: base, Mode: mode}); err != nil {
 		return attachPhase{}, err
 	}
 	if d.Len() != wantLen {
@@ -479,7 +460,6 @@ func attachOnce(base string, segments, wantLen, workers int, mode directory.Sync
 	}
 	st := d.JournalStats()
 	a := attachPhase{
-		Format:        st.Format,
 		Workers:       st.ReplayWorkers,
 		Records:       st.ReplayedRecords,
 		Bytes:         st.ReplayedBytes,

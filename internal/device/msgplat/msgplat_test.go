@@ -2,6 +2,7 @@ package msgplat
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -180,5 +181,32 @@ func TestDDUNotificationAndEchoSuppression(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("no notification")
+	}
+}
+
+// TestNotificationRightAfterConnectIsDelivered commits a change the moment
+// Dial returns, many times over: the event stream must already be
+// subscribed when the platform acknowledges SUBSCRIBE, or a change in that
+// window never reaches the converter.
+func TestNotificationRightAfterConnectIsDelivered(t *testing.T) {
+	m, addr := startMP(t)
+	for i := 0; i < 100; i++ {
+		c, err := Dial(addr, "metacomm")
+		if err != nil {
+			t.Fatal(err)
+		}
+		num := fmt.Sprintf("7%04d", i)
+		if _, err := m.Store.Add("console", mailbox(num, "Fresh")); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case n := <-c.Notifications():
+			if n.Key != num {
+				t.Fatalf("round %d: notification for %q, want %q", i, n.Key, num)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("round %d: change committed right after connect never notified", i)
+		}
+		c.Close()
 	}
 }

@@ -189,10 +189,14 @@ func (p *PBX) serve(nc net.Conn) {
 				reply("error 3 usage: monitor on")
 				continue
 			}
+			// Subscribe before acknowledging: a change committed after the
+			// client reads "ok" must reach this stream.
+			ch := p.Store.Subscribe()
 			if !reply("ok") {
+				p.Store.Unsubscribe(ch)
 				return
 			}
-			p.monitor(nc, w)
+			p.monitor(nc, w, ch)
 			return
 		case "add":
 			p.handleAdd(session, fields, reply)
@@ -335,9 +339,9 @@ func encodeFields(rec lexpress.Record) string {
 	return strings.Join(parts, " ")
 }
 
-// monitor streams notify blocks to a monitor connection until it drops.
-func (p *PBX) monitor(nc net.Conn, w *bufio.Writer) {
-	ch := p.Store.Subscribe()
+// monitor streams ch's notify blocks to a monitor connection until it
+// drops, then unsubscribes ch.
+func (p *PBX) monitor(nc net.Conn, w *bufio.Writer, ch <-chan device.Notification) {
 	defer p.Store.Unsubscribe(ch)
 	// Drain any input; when the peer (or Close) drops the connection the
 	// read fails and done unblocks the notification loop below.

@@ -2,6 +2,7 @@ package pbx
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -163,7 +164,11 @@ func TestModifyNotificationCarriesOldAndNew(t *testing.T) {
 	if _, err := admin.Add(station("1", "Before")); err != nil {
 		t.Fatal(err)
 	}
-	<-c.Notifications() // the add
+	select {
+	case <-c.Notifications(): // the add
+	case <-time.After(2 * time.Second):
+		t.Fatal("no add notification")
+	}
 	if _, err := admin.Modify("1", station("1", "After")); err != nil {
 		t.Fatal(err)
 	}
@@ -197,5 +202,32 @@ func TestProtocolRejectsUnknownFields(t *testing.T) {
 	bad.Set("FavoriteColor", "blue")
 	if _, err := c.Add(bad); err == nil {
 		t.Error("unknown field accepted — the device schema is closed")
+	}
+}
+
+// TestNotificationRightAfterConnectIsDelivered commits a change the moment
+// Dial returns, many times over: the monitor stream must already be
+// subscribed when the PBX acknowledges "monitor on", or a change in that
+// window never reaches the converter.
+func TestNotificationRightAfterConnectIsDelivered(t *testing.T) {
+	p, addr := startPBX(t)
+	for i := 0; i < 100; i++ {
+		c, err := Dial(addr, "metacomm")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ext := fmt.Sprintf("3-%04d", i)
+		if _, err := p.Store.Add("craft", station(ext, "Fresh")); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case n := <-c.Notifications():
+			if n.Key != ext {
+				t.Fatalf("round %d: notification for %q, want %q", i, n.Key, ext)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("round %d: change committed right after connect never notified", i)
+		}
+		c.Close()
 	}
 }

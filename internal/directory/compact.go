@@ -2,7 +2,6 @@ package directory
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -90,7 +89,7 @@ func (d *DIT) Compact() error {
 	// Refresh the manifest's entry-count hint — after a full sweep every
 	// file is exactly one record per live entry, so the counts are exact.
 	if d.journalBase != "" {
-		return d.writeManifest(d.journalBase, d.journalFormat)
+		return d.writeManifest(d.journalBase)
 	}
 	return nil
 }
@@ -102,9 +101,7 @@ func (d *DIT) compactSegment(s *segment) error {
 
 	// Phase 1 — under the segment write lock: quiesce this segment's
 	// pipeline so every acked record is physically in the file, record the
-	// file size as the splice offset, and snapshot entry headers. The
-	// attribute values are copy-on-write (an installed *Attrs is never
-	// mutated), so the snapshot is a slice of (DN, key, pointer) triples.
+	// file size as the splice offset, and snapshot entry headers.
 	s.mu.Lock()
 	j := s.journal
 	if j == nil {
@@ -121,32 +118,8 @@ func (d *DIT) compactSegment(s *segment) error {
 		s.mu.Unlock()
 		return err
 	}
-	type compactEnt struct {
-		searchCand
-		stamp Stamp
-	}
-	snap := make([]compactEnt, 0, len(s.entries))
-	for k, n := range s.entries {
-		snap = append(snap, compactEnt{searchCand{dn: n.dn, key: k, attrs: n.attrs}, n.stamp})
-	}
-	// Tombstones survive compaction too (as trailing stamped delete
-	// records) — without them a restarted node would forget its deletes
-	// and let stale remote upserts resurrect entries.
-	tombs := make([]ReplTombstone, 0, len(s.tombstones))
-	for k, ts := range s.tombstones {
-		tombs = append(tombs, ReplTombstone{Key: k, Stamp: ts})
-	}
+	snap := s.snapshotLocked()
 	s.mu.Unlock()
-	sort.Slice(tombs, func(i, j int) bool { return tombs[i].Key < tombs[j].Key })
-
-	// Parents before children within the segment — replay does not need it
-	// (relaxed replay is entry-local), but humans reading a journal do.
-	sort.Slice(snap, func(i, j int) bool {
-		if di, dj := snap[i].dn.Depth(), snap[j].dn.Depth(); di != dj {
-			return di < dj
-		}
-		return snap[i].key < snap[j].key
-	})
 
 	// Phase 2 — no locks held: write the snapshot to the temp file.
 	tmp := j.path + ".compact"
@@ -155,57 +128,9 @@ func (d *DIT) compactSegment(s *segment) error {
 		return err
 	}
 	w := bufio.NewWriterSize(f, 256<<10)
-	// The rewrite is also the format migration path: the snapshot is
-	// written in the journal's CONFIGURED format, so attaching a legacy
-	// JSON set with Format v2 converts it by simply compacting.
-	switch j.Format {
-	case FormatJSON:
-		enc := json.NewEncoder(w)
-		for i := range snap {
-			rec := UpdateRecord{Op: "entry", DN: snap[i].dn.String(), Attrs: snap[i].attrs.Map(),
-				OriginSeq: snap[i].stamp.Seq, OriginNode: snap[i].stamp.Node}
-			if err := enc.Encode(&rec); err != nil {
-				f.Close()
-				return err
-			}
-		}
-		for _, tb := range tombs {
-			rec := UpdateRecord{Op: "delete", DN: tb.Key,
-				OriginSeq: tb.Stamp.Seq, OriginNode: tb.Stamp.Node}
-			if err := enc.Encode(&rec); err != nil {
-				f.Close()
-				return err
-			}
-		}
-	default:
-		var enc v2Encoder
-		var bin []byte
-		for i := range snap {
-			rec := UpdateRecord{Op: "entry", DN: snap[i].dn.String(), attrsDec: snap[i].attrs, normKey: snap[i].key,
-				OriginSeq: snap[i].stamp.Seq, OriginNode: snap[i].stamp.Node}
-			bin, err = enc.appendRecord(bin[:0], &rec)
-			if err != nil {
-				f.Close()
-				return err
-			}
-			if _, err := w.Write(bin); err != nil {
-				f.Close()
-				return err
-			}
-		}
-		for _, tb := range tombs {
-			rec := UpdateRecord{Op: "delete", DN: tb.Key,
-				OriginSeq: tb.Stamp.Seq, OriginNode: tb.Stamp.Node}
-			bin, err = enc.appendRecord(bin[:0], &rec)
-			if err != nil {
-				f.Close()
-				return err
-			}
-			if _, err := w.Write(bin); err != nil {
-				f.Close()
-				return err
-			}
-		}
+	if err := snap.writeTo(w); err != nil {
+		f.Close()
+		return err
 	}
 	if err := w.Flush(); err != nil {
 		f.Close()
@@ -291,9 +216,103 @@ func (d *DIT) compactSegment(s *segment) error {
 
 	d.compactRuns.Add(1)
 	d.compactSpliced.Add(uint64(spliced))
-	d.compactEntries.Add(uint64(len(snap)))
+	d.compactEntries.Add(uint64(len(snap.ents)))
 	d.compactLastNs.Store(time.Since(start).Nanoseconds())
 	return nil
+}
+
+// segmentSnapshot is a segment's live state as compaction writes it: one
+// entry record per live entry, then one stamped delete per tombstone.
+type segmentSnapshot struct {
+	ents []compactEnt
+	// Tombstones survive compaction too (as trailing stamped delete
+	// records) — without them a restarted node would forget its deletes
+	// and let stale remote upserts resurrect entries.
+	tombs []ReplTombstone
+}
+
+type compactEnt struct {
+	searchCand
+	stamp Stamp
+}
+
+// snapshotLocked collects the segment's entry headers and tombstones.
+// Caller holds s.mu. The attribute values are copy-on-write (an installed
+// *Attrs is never mutated), so the snapshot is a slice of (DN, key,
+// pointer) triples and needs no lock once taken.
+func (s *segment) snapshotLocked() segmentSnapshot {
+	snap := segmentSnapshot{
+		ents:  make([]compactEnt, 0, len(s.entries)),
+		tombs: make([]ReplTombstone, 0, len(s.tombstones)),
+	}
+	for k, n := range s.entries {
+		snap.ents = append(snap.ents, compactEnt{searchCand{dn: n.dn, key: k, attrs: n.attrs}, n.stamp})
+	}
+	for k, ts := range s.tombstones {
+		snap.tombs = append(snap.tombs, ReplTombstone{Key: k, Stamp: ts})
+	}
+	return snap
+}
+
+// writeTo encodes the snapshot as v2 frames into w (not flushed).
+func (snap segmentSnapshot) writeTo(w *bufio.Writer) error {
+	// Parents before children within the segment — replay does not need it
+	// (relaxed replay is entry-local), but humans reading a journal do.
+	ents, tombs := snap.ents, snap.tombs
+	sort.Slice(ents, func(i, j int) bool {
+		if di, dj := ents[i].dn.Depth(), ents[j].dn.Depth(); di != dj {
+			return di < dj
+		}
+		return ents[i].key < ents[j].key
+	})
+	sort.Slice(tombs, func(i, j int) bool { return tombs[i].Key < tombs[j].Key })
+	var enc v2Encoder
+	var bin []byte
+	put := func(rec UpdateRecord) error {
+		var err error
+		if bin, err = enc.appendRecord(bin[:0], &rec); err != nil {
+			return err
+		}
+		_, err = w.Write(bin)
+		return err
+	}
+	for i := range ents {
+		if err := put(UpdateRecord{Op: "entry", DN: ents[i].dn.String(), attrsDec: ents[i].attrs, normKey: ents[i].key,
+			OriginSeq: ents[i].stamp.Seq, OriginNode: ents[i].stamp.Node}); err != nil {
+			return err
+		}
+	}
+	for _, tb := range tombs {
+		if err := put(UpdateRecord{Op: "delete", DN: tb.Key, OriginSeq: tb.Stamp.Seq, OriginNode: tb.Stamp.Node}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// appendSnapshot appends segment s's live state to its own journal file
+// and fsyncs it, leaving every earlier record in place. A re-fold runs it
+// on every segment before compacting any: once each live entry is durable
+// in the file of the segment it now routes to, compaction may replace the
+// old-layout files one at a time, and a crash between two replacements
+// still leaves every entry on disk. Replaying a file's history after (or
+// before) its entries' snapshots reaches the same state: each entry's
+// history in a file begins with an upserting add or entry record, and
+// nothing is written while attach runs.
+func (s *segment) appendSnapshot() error {
+	s.mu.Lock()
+	snap := s.snapshotLocked()
+	j := s.journal
+	s.mu.Unlock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err := snap.writeTo(j.w); err != nil {
+		return err
+	}
+	if err := j.w.Flush(); err != nil {
+		return err
+	}
+	return j.f.Sync()
 }
 
 // autoCompactMinGrowth is how many bytes a segment's journal must have
@@ -347,7 +366,7 @@ func (d *DIT) autoCompactLoop(interval time.Duration, stop, done chan struct{}) 
 			// An I/O failure here poisons the pipeline and surfaces to
 			// writers; the sweep itself just moves on.
 			if d.compactSegment(s) == nil && d.journalBase != "" {
-				_ = d.writeManifest(d.journalBase, d.journalFormat)
+				_ = d.writeManifest(d.journalBase)
 			}
 		} else {
 			d.compactSkips.Add(1)

@@ -181,12 +181,12 @@ type DIT struct {
 	// nil until a journal has been attached. See JournalStats.
 	replay atomic.Pointer[replayStats]
 
-	// journalBase/journalFormat remember the attached journal set's layout
-	// so manifest refreshes (post-compaction, clean close) can rewrite
-	// <base>.meta with current per-segment entry counts. Written once by
-	// AttachJournalSet before any compactor can run; read under compactMu.
-	journalBase   string
-	journalFormat JournalFormat
+	// journalBase remembers the attached journal set's path stem so
+	// manifest refreshes (post-compaction, clean close) can rewrite
+	// <base>.meta with current per-segment entry counts. Set by a
+	// successful AttachJournalSet before any compactor can run, cleared by
+	// CloseJournal; read under compactMu.
+	journalBase string
 
 	// compactMu serializes compaction sweeps (manual Compact, the
 	// auto-compactor, and CloseJournal's shutdown barrier).
@@ -206,8 +206,7 @@ type DIT struct {
 }
 
 // New returns an empty single-segment DIT. schema may be nil to disable
-// validation. Single-segment DITs accept the legacy single-file
-// AttachJournal; use NewSegmented for the partitioned form.
+// validation. Use NewSegmented for the partitioned form.
 func New(schema *Schema) *DIT { return NewSegmented(schema, 1) }
 
 // NewSegmented returns an empty DIT partitioned into n DN-hash segments

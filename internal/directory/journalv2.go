@@ -9,9 +9,9 @@ import (
 	"io"
 )
 
-// Journal record format v2: length-prefixed binary frames instead of
-// newline-delimited JSON. Replay cost dominated cold start at million-entry
-// scale (26-31 µs/record of JSON decode, E21); a v2 record decodes with no
+// Journal record format v2: length-prefixed binary frames, the only record
+// encoding the journal reads or writes. Replay cost dominates cold start at
+// million-entry scale (E21, E22); a v2 record decodes with no
 // reflection, no intermediate map, and no per-field allocation beyond the
 // strings that live on in the DIT, following the same reused-buffer
 // discipline as the internal/ber Reader (one payload buffer per replay
@@ -19,7 +19,7 @@ import (
 //
 // Frame layout (all integers little-endian, lengths uvarint):
 //
-//	0xB2                     frame marker ("v2"); also the format sniff
+//	0xB2                     frame marker ("v2")
 //	uvarint payloadLen       bytes between here and the checksum
 //	payload                  op-tagged record body (below)
 //	uint32 CRC32-C           Castagnoli checksum of payload
@@ -49,22 +49,19 @@ import (
 // re-normalizing a million DNs it normalized before the crash. An empty
 // key field just means "normalize at replay".
 //
-// The marker byte makes every record self-describing, so one file may hold
-// JSON lines followed by v2 frames (a journal appended to after a format
-// switch, before the migrating compaction rewrote it — exactly the state a
-// crash mid-migration leaves). Replay sniffs the first byte of each record:
-// '{' is a JSON line, 0xB2 is a v2 frame. 0xB2 never begins a JSON record
-// and '{' never begins a frame.
+// The marker byte begins every record, so replay refuses a file holding
+// anything else at a record boundary — data in another format, or damage —
+// rather than guess at it (DESIGN.md §11).
 //
-// Torn-tail semantics match the JSON journal's (DESIGN.md §11): a final
-// frame cut short by a crash — EOF inside the varint, payload, or checksum
-// — is truncated and counted; a complete frame whose checksum or structure
-// is wrong is corruption and aborts replay wherever it sits. Tears only
-// ever shorten the file, so "incomplete" is the only shape a crash leaves.
+// Torn tails (DESIGN.md §11): a final frame cut short by a crash — EOF
+// inside the varint, payload, or checksum — is truncated and counted; a
+// complete frame whose checksum or structure is wrong is corruption and
+// aborts replay wherever it sits. Tears only ever shorten the file, so
+// "incomplete" is the only shape a crash leaves.
 
 const (
-	// frameMarkerV2 begins every v2 frame. Deliberately outside ASCII and
-	// never the first byte of a JSON record.
+	// frameMarkerV2 begins every v2 frame. Deliberately outside ASCII, so
+	// text in a journal file is never mistaken for a frame.
 	frameMarkerV2 = 0xB2
 
 	// maxV2Payload bounds a single record's declared payload so a corrupt
@@ -89,8 +86,7 @@ const (
 )
 
 // errTornFrameV2 classifies an incomplete final frame (crash mid-append):
-// replay truncates at the frame start and continues, exactly like a torn
-// JSON tail.
+// replay truncates at the frame start and continues.
 var errTornFrameV2 = errors.New("directory: torn journal v2 frame")
 
 var crcV2Table = crc32.MakeTable(crc32.Castagnoli)
@@ -383,8 +379,8 @@ func (c *v2cursor) values() ([]string, error) {
 
 // decodePayload parses one checksum-verified payload into rec. For
 // add/entry records the attributes decode straight into an *Attrs
-// (rec.attrsDec) with interned names — replay installs it without the
-// map[string][]string round trip the JSON path pays.
+// (rec.attrsDec) with interned names — replay installs it without a
+// map[string][]string round trip.
 func (d *v2Decoder) decodePayload(p []byte, rec *UpdateRecord) error {
 	*rec = UpdateRecord{}
 	c := v2cursor{b: p}

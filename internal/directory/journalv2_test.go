@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"metacomm/internal/dn"
@@ -106,16 +107,12 @@ func TestV2CorruptFrameRejected(t *testing.T) {
 	}
 }
 
-// TestV2JournalOnDisk asserts a default-config journal set writes v2 frames
-// and reports the format through JournalStats.
+// TestV2JournalOnDisk asserts a journal set writes v2 frames and reports
+// its replay through JournalStats.
 func TestV2JournalOnDisk(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "dir.journal")
 	d := segmentedDIT(t, base, 4)
 	seedOrg(t, d, 32)
-	st := d.JournalStats()
-	if st.Format != "v2" {
-		t.Fatalf("live format = %q, want v2", st.Format)
-	}
 	d.CloseJournal()
 	for i := 0; i < 4; i++ {
 		b, err := os.ReadFile(segJournalPath(base, i))
@@ -128,8 +125,8 @@ func TestV2JournalOnDisk(t *testing.T) {
 	}
 	restored := reopenSet(t, base, 4)
 	sameState(t, d, restored)
-	st = restored.JournalStats()
-	if st.Format != "v2" || st.ReplayedRecords != 33 || st.ReplayedBytes == 0 ||
+	st := restored.JournalStats()
+	if st.ReplayedRecords != 33 || st.ReplayedBytes == 0 ||
 		st.ReplayNs <= 0 || len(st.SegmentReplayNs) != 4 {
 		t.Fatalf("replay stats = %+v", st)
 	}
@@ -246,54 +243,18 @@ func TestV2CorruptMidFileSurfaces(t *testing.T) {
 	}
 }
 
-// TestV2MixedFormatFileReplays appends v2 frames to a JSON segment file —
-// the state a crash leaves when a format switch has appended new records
-// but the migrating compaction has not rewritten the file yet — and
-// requires replay to apply both.
-func TestV2MixedFormatFileReplays(t *testing.T) {
+// migrationCrash kills the segment-count re-fold (a set written with 2
+// segments attached with 4) at the given stage of segment seg's compaction
+// and asserts the next attach still restores every acked write and
+// removes the temps — the re-fold must be re-runnable from any crash
+// point, and the recovered set must end up in the 4-segment layout.
+func migrationCrash(t *testing.T, stage string, seg int) {
 	base := filepath.Join(t.TempDir(), "dir.journal")
-	d := NewSegmented(nil, 1)
-	if _, err := d.AttachJournalSet(JournalSetConfig{Base: base, Mode: SyncGroup, Format: FormatJSON}); err != nil {
-		t.Fatal(err)
-	}
-	seedOrg(t, d, 5)
-	d.CloseJournal()
-
-	seg0 := segJournalPath(base, 0)
-	var enc v2Encoder
-	frame, err := enc.appendRecord(nil, &UpdateRecord{Op: "add", Seq: d.Seq() + 1,
-		DN: "cn=binary,o=Lucent", Attrs: map[string][]string{"cn": {"binary"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(seg0, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	restored := reopenSet(t, base, 1)
-	if _, err := restored.Get(dn.MustParse("cn=binary,o=Lucent")); err != nil {
-		t.Fatalf("v2 record after JSON records lost: %v", err)
-	}
-	if restored.Len() != d.Len()+1 {
-		t.Fatalf("restored %d entries, want %d", restored.Len(), d.Len()+1)
-	}
-}
-
-// TestLegacyJSONJournalMigratesToV2 is the check.sh migration smoke: a
-// journal set written in JSON attaches under the v2 default, migrates in
-// place, and a second attach replays pure v2 with identical contents.
-func TestLegacyJSONJournalMigratesToV2(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "dir.journal")
-	d := NewSegmented(nil, 4)
-	if _, err := d.AttachJournalSet(JournalSetConfig{Base: base, Mode: SyncGroup, Format: FormatJSON}); err != nil {
-		t.Fatal(err)
-	}
-	seedOrg(t, d, 40)
+	d := segmentedDIT(t, base, 2)
+	seedOrg(t, d, 20)
+	// History beyond plain adds: a value added, an entry deleted, a
+	// subtree renamed — replay must land on the same state whichever of a
+	// file's history and its entries' snapshots comes first.
 	if err := d.Modify(dn.MustParse("cn=p1,o=Lucent"), []ldap.Change{
 		{Op: ldap.ModAdd, Attribute: ldap.Attribute{Type: "mail", Values: []string{"p1@x"}}}}); err != nil {
 		t.Fatal(err)
@@ -301,72 +262,22 @@ func TestLegacyJSONJournalMigratesToV2(t *testing.T) {
 	if err := d.Delete(dn.MustParse("cn=p2,o=Lucent")); err != nil {
 		t.Fatal(err)
 	}
-	d.CloseJournal()
-	if st := d.JournalStats(); st.Format != "json" {
-		t.Fatalf("source format = %q, want json", st.Format)
-	}
-	for i := 0; i < 4; i++ {
-		b, err := os.ReadFile(segJournalPath(base, i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(b) == 0 || b[0] != '{' {
-			t.Fatalf("segment %d is not JSON before migration", i)
-		}
-	}
-
-	migrated := reopenSet(t, base, 4)
-	sameState(t, d, migrated)
-	mustAddP(t, migrated, "cn=post-migration,o=Lucent", map[string][]string{"cn": {"post-migration"}})
-	migrated.CloseJournal()
-
-	// Migration rewrote every file as v2 frames and stamped the manifest.
-	for i := 0; i < 4; i++ {
-		b, err := os.ReadFile(segJournalPath(base, i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(b) == 0 || b[0] != frameMarkerV2 {
-			t.Fatalf("segment %d not rewritten as v2", i)
-		}
-	}
-	mb, err := os.ReadFile(base + ".meta")
-	if err != nil {
+	mustAddP(t, d, "ou=Eng,o=Lucent", map[string][]string{"ou": {"Eng"}})
+	mustAddP(t, d, "cn=dev,ou=Eng,o=Lucent", map[string][]string{"cn": {"dev"}})
+	if err := d.ModifyDN(dn.MustParse("ou=Eng,o=Lucent"), dn.RDN{{Attr: "ou", Value: "R&D"}}, true); err != nil {
 		t.Fatal(err)
 	}
-	var m journalManifest
-	if err := json.Unmarshal(mb, &m); err != nil || m.Format != "v2" {
-		t.Fatalf("manifest after migration: %s (%v)", mb, err)
-	}
-
-	again := reopenSet(t, base, 4)
-	sameState(t, migrated, again)
-	if st := again.JournalStats(); st.Format != "v2" {
-		t.Fatalf("format after second attach = %q, want v2", st.Format)
-	}
-}
-
-// migrationCrash kills the JSON→v2 migrating compaction at the given stage
-// and asserts the next attach still restores every acked write and removes
-// the temps — the migration must be re-runnable from any crash point.
-func migrationCrash(t *testing.T, stage string) {
-	base := filepath.Join(t.TempDir(), "dir.journal")
-	d := NewSegmented(nil, 2)
-	if _, err := d.AttachJournalSet(JournalSetConfig{Base: base, Mode: SyncGroup, Format: FormatJSON}); err != nil {
-		t.Fatal(err)
-	}
-	seedOrg(t, d, 20)
 	d.CloseJournal()
 
 	injected := false
-	compactHook = func(s string, seg int) error {
-		if s == stage && !injected {
+	compactHook = func(s string, i int) error {
+		if s == stage && i == seg && !injected {
 			injected = true
 			return fmt.Errorf("injected crash at %s", s)
 		}
 		return nil
 	}
-	crashed := NewSegmented(nil, 2)
+	crashed := NewSegmented(nil, 4)
 	_, err := crashed.AttachJournalSet(JournalSetConfig{Base: base, Mode: SyncGroup})
 	compactHook = nil
 	if err == nil {
@@ -377,38 +288,58 @@ func migrationCrash(t *testing.T, stage string) {
 	}
 	crashed.CloseJournal()
 
-	restored := reopenSet(t, base, 2)
+	restored := reopenSet(t, base, 4)
 	sameState(t, d, restored)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 4; i++ {
 		if _, err := os.Stat(segJournalPath(base, i) + ".compact"); err == nil {
 			t.Errorf("stale .compact temp for segment %d survived attach", i)
 		}
 	}
-	// The completed migration leaves a pure-v2 set.
+	// The completed re-fold leaves a 4-segment set: the manifest says so
+	// and every file holds only its own segment's entries.
 	mustAddP(t, restored, "cn=post,o=Lucent", map[string][]string{"cn": {"post"}})
 	restored.CloseJournal()
-	if st := restored.JournalStats(); st.Format != "v2" {
-		t.Fatalf("format after recovered migration = %q", st.Format)
+	mb, err := os.ReadFile(base + ".meta")
+	if err != nil {
+		t.Fatal(err)
 	}
-	final := reopenSet(t, base, 2)
+	var m journalManifest
+	if err := json.Unmarshal(mb, &m); err != nil || m.Segments != 4 {
+		t.Fatalf("manifest after recovered re-fold: %s (%v)", mb, err)
+	}
+	for i := 0; i < 4; i++ {
+		probe := NewSegmented(nil, 4)
+		n, _, _, _, err := probe.replayRelaxed(segJournalPath(base, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n > 0 && probe.Stats().SegmentEntries[i] != probe.Len() {
+			t.Errorf("segment file %d holds entries of other segments: %v", i, probe.Stats().SegmentEntries)
+		}
+	}
+	final := reopenSet(t, base, 4)
 	if _, err := final.Get(dn.MustParse("cn=post,o=Lucent")); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestMigrationCrashAtTmpWritten(t *testing.T) { migrationCrash(t, "tmp-written") }
-func TestMigrationCrashMidSplice(t *testing.T)    { migrationCrash(t, "mid-splice") }
-func TestMigrationCrashPreRename(t *testing.T)    { migrationCrash(t, "pre-rename") }
+func TestMigrationCrashAtTmpWritten(t *testing.T) { migrationCrash(t, "tmp-written", 0) }
+func TestMigrationCrashMidSplice(t *testing.T)    { migrationCrash(t, "mid-splice", 0) }
+func TestMigrationCrashPreRename(t *testing.T)    { migrationCrash(t, "pre-rename", 0) }
+
+// TestMigrationCrashAfterFirstRename crashes the re-fold once segment 0's
+// file has already been replaced, so entries that file held for other
+// segments survive only if the re-fold made them durable elsewhere first.
+func TestMigrationCrashAfterFirstRename(t *testing.T) { migrationCrash(t, "pre-rename", 1) }
 
 // TestParallelAttachReplay exercises the worker-pool attach (the -race run
 // of this package drives the concurrent path) and checks the post-pass
-// rebuilt cross-segment child links.
+// rebuilt cross-segment child links. The pool is min(GOMAXPROCS, segments),
+// so the test pins GOMAXPROCS to get four workers on any machine.
 func TestParallelAttachReplay(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	base := filepath.Join(t.TempDir(), "dir.journal")
-	d := NewSegmented(nil, 8)
-	if _, err := d.AttachJournalSet(JournalSetConfig{Base: base, Mode: SyncGroup, Workers: 4}); err != nil {
-		t.Fatal(err)
-	}
+	d := segmentedDIT(t, base, 8)
 	seedOrg(t, d, 120)
 	mustAddP(t, d, "ou=Eng,o=Lucent", map[string][]string{"ou": {"Eng"}})
 	for i := 0; i < 40; i++ {
@@ -420,11 +351,7 @@ func TestParallelAttachReplay(t *testing.T) {
 	}
 	d.CloseJournal()
 
-	restored := NewSegmented(nil, 8)
-	if _, err := restored.AttachJournalSet(JournalSetConfig{Base: base, Mode: SyncGroup, Workers: 4}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { restored.CloseJournal() })
+	restored := reopenSet(t, base, 8)
 	sameState(t, d, restored)
 	st := restored.JournalStats()
 	if st.ReplayWorkers != 4 {

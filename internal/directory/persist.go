@@ -2,7 +2,6 @@ package directory
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -23,21 +22,21 @@ import (
 // snapshot compaction. Reopening the journal replays it, restoring the
 // exact directory state.
 //
-// On a segmented DIT every segment has its own journal file and its own
-// group-commit pipeline (one fsync per group per segment; see DESIGN.md
-// §11/§13), named <base>.seg<i> and attached together via
-// AttachJournalSet. Segment journals replay independently: each file
-// carries a linear per-DN history (the router always sends a DN to the
-// same file), so replay is relaxed — "entry"/"add" upsert, modify/delete
-// apply strictly per entry, parent/child links are wired in one post-pass.
-// A legacy single-file journal (or a set written under a different segment
-// count) is replayed and folded into the current layout at attach.
+// Every segment has its own journal file and its own group-commit
+// pipeline (one fsync per group per segment; see DESIGN.md §11/§13), named
+// <base>.seg<i> and attached together via AttachJournalSet. Segment
+// journals replay independently: each file carries a linear per-DN history
+// (the router always sends a DN to the same file), so replay is relaxed —
+// "entry"/"add" upsert, modify/delete apply strictly per entry,
+// parent/child links are wired in one post-pass. A set written under a
+// different segment count is replayed and folded into the current layout
+// at attach.
 //
-// The journal is deliberately simple — newline-delimited JSON,
-// atomically-renamed snapshots — because the consistency story of MetaComm
-// does not depend on it: a directory restored from an older journal is just
-// a repository that missed updates, which the Update Manager's
-// synchronization facility reconciles. The same stance covers the one
+// The journal is deliberately simple — CRC-framed v2 records
+// (journalv2.go), atomically-renamed snapshots — because the consistency
+// story of MetaComm does not depend on it: a directory restored from an
+// older journal is just a repository that missed updates, which the Update
+// Manager's synchronization facility reconciles. The same stance covers the one
 // cross-segment operation: a ModifyDN journals as per-entry delete+entry
 // records in the affected segments' files, durable per the sync mode
 // before the call returns, but a crash mid-write can persist a subset of
@@ -71,7 +70,7 @@ type UpdateRecord struct {
 	// attrsDec, when non-nil, is the add/entry attribute set as a decoded
 	// *Attrs. The v2 codec decodes straight into this form (and compaction
 	// encodes straight out of it), skipping the map[string][]string round
-	// trip; Attrs stays authoritative for JSON records and the changelog.
+	// trip; Attrs stays authoritative for live records and the changelog.
 	attrsDec *Attrs
 
 	// normKey, when non-empty, is the entry's normalized DN key, carried by
@@ -150,78 +149,32 @@ func ParseSyncMode(s string) (SyncMode, error) {
 	return SyncNone, fmt.Errorf("directory: unknown sync mode %q (want always, group, or none)", s)
 }
 
-// JournalFormat selects the on-disk record encoding. New journals default
-// to FormatV2; a journal set written in the other format is migrated at
-// attach through the compaction rewrite (replay sniffs per record, so files
-// that mix both formats — the state between a format switch and its
-// migrating compaction — always replay correctly).
-type JournalFormat int
-
-const (
-	// FormatV2 is the CRC-framed binary record codec (journalv2.go).
-	FormatV2 JournalFormat = iota
-	// FormatJSON is the legacy newline-delimited JSON encoding.
-	FormatJSON
-)
-
-// String returns the manifest/flag spelling of the format.
-func (f JournalFormat) String() string {
-	if f == FormatJSON {
-		return "json"
-	}
-	return "v2"
-}
-
-// ParseJournalFormat parses a journal format spelling ("" selects the
-// default, FormatV2).
-func ParseJournalFormat(s string) (JournalFormat, error) {
-	switch s {
-	case "v2", "":
-		return FormatV2, nil
-	case "json":
-		return FormatJSON, nil
-	}
-	return FormatV2, fmt.Errorf("directory: unknown journal format %q (want v2 or json)", s)
-}
-
-// DefaultJournalBatch caps how many records one commit group may carry when
-// Journal.MaxBatch is unset. Groups form from whatever is concurrently
-// staged — there is no artificial wait — so the cap only bounds worst-case
-// group latency under extreme backlog.
+// DefaultJournalBatch caps how many records one commit group may carry.
+// Groups form from whatever is concurrently staged — there is no
+// artificial wait — so the cap only bounds worst-case group latency under
+// extreme backlog.
 const DefaultJournalBatch = 256
 
-// Journal persists committed directory updates. Configure Mode, MaxBatch,
-// and Linger before attaching; they are read by the commit pipeline.
+// Journal is one segment's journal file. AttachJournalSet opens one per
+// segment; mode is read by the commit pipeline.
 type Journal struct {
 	mu   sync.Mutex
 	path string
 	f    *os.File
 	w    *bufio.Writer
 
-	// Mode selects the durability mode (default SyncNone).
-	Mode SyncMode
-	// MaxBatch caps the records per commit group (0 = DefaultJournalBatch).
-	MaxBatch int
-	// Linger, when positive, is how long the committer waits after claiming
-	// a non-full group for more records to arrive before writing it. Zero
-	// (the default) writes immediately: batching then comes only from
-	// records staged while the previous group's fsync was in flight, which
-	// adds no latency and is usually what you want.
-	Linger time.Duration
-	// Format selects the record encoding for appends and compaction
-	// rewrites (default FormatV2). Replay is format-agnostic.
-	Format JournalFormat
+	mode SyncMode
 
 	fsyncs uint64 // atomic
 }
 
-// OpenJournal opens (creating if needed) a journal file.
-func OpenJournal(path string) (*Journal, error) {
+// openJournal opens (creating if needed) a journal file.
+func openJournal(path string, mode SyncMode) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("directory: opening journal: %w", err)
 	}
-	return &Journal{path: path, f: f, w: bufio.NewWriter(f)}, nil
+	return &Journal{path: path, f: f, w: bufio.NewWriter(f), mode: mode}, nil
 }
 
 // Close flushes and closes the journal file. A journal attached to a DIT
@@ -245,7 +198,7 @@ func (j *Journal) Close() error {
 }
 
 // writeGroup appends one marshaled commit group and makes it as durable as
-// Mode requires: flushed for SyncNone, flushed+fsynced otherwise. The
+// the mode requires: flushed for SyncNone, flushed+fsynced otherwise. The
 // group's records were marshaled by the committer outside any lock.
 func (j *Journal) writeGroup(data []byte) error {
 	j.mu.Lock()
@@ -259,7 +212,7 @@ func (j *Journal) writeGroup(data []byte) error {
 	if err := j.w.Flush(); err != nil {
 		return err
 	}
-	if j.Mode != SyncNone {
+	if j.mode != SyncNone {
 		atomic.AddUint64(&j.fsyncs, 1)
 		return j.f.Sync()
 	}
@@ -310,8 +263,6 @@ type JournalStats struct {
 	// most one per journal file; a crash mid-append leaves at most one).
 	TornTails uint64
 
-	// Format is the journal's record encoding ("v2", "json").
-	Format string
 	// Attach-time replay: records applied, journal bytes decoded, total
 	// wall time (including the cross-segment link pass), the worker count
 	// used, and per-segment-file wall times. Zero until a journal set is
@@ -386,18 +337,10 @@ type committer struct {
 	closed  bool
 	stopped chan struct{}
 
-	maxBatch int
-	linger   time.Duration
-
-	// Marshaling state, reused across groups: the JSON encoder appends each
-	// record plus the record separator to buf, so the per-record
-	// append(b, '\n') allocation of the old path is gone; v2 groups frame
-	// into bin with enc2's reused payload scratch. Which pair runs is the
-	// journal's Format.
-	buf  bytes.Buffer
-	enc  *json.Encoder
-	bin  []byte
-	enc2 v2Encoder
+	// Marshaling state, reused across groups: each group frames into bin
+	// with enc's reused payload scratch.
+	bin []byte
+	enc v2Encoder
 
 	// Stats, guarded by mu except the atomics.
 	appends  uint64
@@ -409,14 +352,9 @@ type committer struct {
 }
 
 func newCommitter(em *emitter, j *Journal) *committer {
-	c := &committer{em: em, j: j, stopped: make(chan struct{}),
-		maxBatch: j.MaxBatch, linger: j.Linger}
-	if c.maxBatch <= 0 {
-		c.maxBatch = DefaultJournalBatch
-	}
+	c := &committer{em: em, j: j, stopped: make(chan struct{})}
 	c.work.L = &c.mu
 	c.done.L = &c.mu
-	c.enc = json.NewEncoder(&c.buf)
 	go c.run()
 	return c
 }
@@ -511,19 +449,11 @@ func (c *committer) run() {
 			c.mu.Unlock()
 			return
 		}
-		max := c.maxBatch
-		if c.j.Mode == SyncAlways {
+		max := DefaultJournalBatch
+		if c.j.mode == SyncAlways {
 			// The contract of always is one durability cycle per record:
 			// no batching, so the baseline really is fsync-per-update.
 			max = 1
-		}
-		if c.linger > 0 && len(c.queue) < max && !c.closed && max > 1 {
-			// Optional linger: give concurrent writers a window to join
-			// this group. Off by default — natural batching (records that
-			// staged during the previous group's fsync) adds no latency.
-			c.mu.Unlock()
-			time.Sleep(c.linger)
-			c.mu.Lock()
 		}
 		// Settle: writers woken by the previous group's broadcast stage
 		// staggered (scheduler latency), so the instant queue understates
@@ -594,25 +524,13 @@ func (c *committer) run() {
 	}
 }
 
-// writeGroup marshals the group into the reused buffer (in the journal's
-// format) and appends it to the journal with the mode's durability.
+// writeGroup frames the group into the reused buffer and appends it to the
+// journal with the mode's durability.
 func (c *committer) writeGroup(batch []UpdateRecord) (int, error) {
-	if c.j.Format == FormatJSON {
-		c.buf.Reset()
-		for i := range batch {
-			if err := c.enc.Encode(&batch[i]); err != nil {
-				return 0, err
-			}
-		}
-		if err := c.j.writeGroup(c.buf.Bytes()); err != nil {
-			return 0, err
-		}
-		return c.buf.Len(), nil
-	}
 	var err error
 	c.bin = c.bin[:0]
 	for i := range batch {
-		if c.bin, err = c.enc2.appendRecord(c.bin, &batch[i]); err != nil {
+		if c.bin, err = c.enc.appendRecord(c.bin, &batch[i]); err != nil {
 			return 0, err
 		}
 	}
@@ -626,7 +544,7 @@ func (c *committer) writeGroup(batch []UpdateRecord) (int, error) {
 func (c *committer) journalStats() JournalStats {
 	c.mu.Lock()
 	s := JournalStats{
-		Mode:      c.j.Mode.String(),
+		Mode:      c.j.mode.String(),
 		Appends:   c.appends,
 		Batches:   c.batches,
 		Bytes:     c.bytes,
@@ -717,32 +635,18 @@ func (d *DIT) journalRenameParts(seq uint64, st Stamp, moves []renameMove) error
 			return err
 		}
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	var enc2 v2Encoder
+	var enc v2Encoder
 	var bin []byte
 	for _, s := range order {
 		recs := bySeg[s]
-		var group []byte
-		if s.journal.Format == FormatJSON {
-			buf.Reset()
-			for i := range recs {
-				if err := enc.Encode(&recs[i]); err != nil {
-					return err
-				}
+		bin = bin[:0]
+		var err error
+		for i := range recs {
+			if bin, err = enc.appendRecord(bin, &recs[i]); err != nil {
+				return err
 			}
-			group = buf.Bytes()
-		} else {
-			bin = bin[:0]
-			var err error
-			for i := range recs {
-				if bin, err = enc2.appendRecord(bin, &recs[i]); err != nil {
-					return err
-				}
-			}
-			group = bin
 		}
-		if err := s.journal.writeGroup(group); err != nil {
+		if err := s.journal.writeGroup(bin); err != nil {
 			s.commit.poison(err)
 			return err
 		}
@@ -750,75 +654,20 @@ func (d *DIT) journalRenameParts(seq uint64, st Stamp, moves []renameMove) error
 	return nil
 }
 
-// AttachJournal replays a legacy single-file journal into the DIT, then
-// attaches it and starts the group-commit pipeline so every future
-// committed update is appended. It returns the number of records replayed.
-// A torn trailing record (crash mid-append) is truncated and tolerated —
-// the journal ends at the last complete record, which is exactly the acked
-// prefix — but corruption followed by further complete records still
-// errors. Only single-segment DITs accept this form; segmented DITs attach
-// one journal per segment via AttachJournalSet.
-func (d *DIT) AttachJournal(j *Journal) (int, error) {
-	if len(d.segs) != 1 {
-		return 0, fmt.Errorf("directory: single-file journal on a %d-segment DIT; use AttachJournalSet", len(d.segs))
-	}
-	s := d.segs[0]
-	s.mu.RLock()
-	attached := s.journal != nil
-	s.mu.RUnlock()
-	if attached {
-		return 0, fmt.Errorf("directory: journal already attached")
-	}
-
-	start := time.Now()
-	n, nb, torn, err := d.replayFile(j.path, d.applyRecord)
-	if err != nil {
-		return n, err
-	}
-	ns := time.Since(start).Nanoseconds()
-	d.replay.Store(&replayStats{Format: j.Format, Workers: 1, Records: uint64(n),
-		Bytes: uint64(nb), WallNs: ns, SegmentNs: []int64{ns}})
-	s.mu.Lock()
-	if s.journal != nil {
-		s.mu.Unlock()
-		return n, fmt.Errorf("directory: journal already attached")
-	}
-	s.journal = j
-	s.commit = newCommitter(d.em, j)
-	if torn {
-		d.tornTails.Store(1)
-	}
-	s.mu.Unlock()
-	// Replay runs through the public ops, which emit records carrying
-	// replay-minted stamps (restoreStamp then corrects the entries, but not
-	// the emitted copies). Those must never be resumable: restart the
-	// changelog tail's coverage at the restored seq so pre-restart cursors
-	// take the snapshot fallback, which ships the corrected stamps.
-	d.resetTailTo(d.seq.Load())
-	return n, nil
-}
-
 // JournalSetConfig configures AttachJournalSet. Base is the path stem;
 // segment i journals to <Base>.seg<i> and the layout manifest lives at
-// <Base>.meta. Mode/MaxBatch/Linger/Format apply to every segment's
-// pipeline; Workers caps the attach-replay worker pool (0 = GOMAXPROCS).
+// <Base>.meta. Mode applies to every segment's pipeline.
 type JournalSetConfig struct {
-	Base     string
-	Mode     SyncMode
-	MaxBatch int
-	Linger   time.Duration
-	Format   JournalFormat
-	Workers  int
+	Base string
+	Mode SyncMode
 }
 
 func segJournalPath(base string, i int) string { return fmt.Sprintf("%s.seg%d", base, i) }
 
 // journalManifest records the on-disk layout so attach can tell whether
-// the existing files match the configured segment count and record format.
-// An absent format field means a set written before v2 existed, i.e. JSON.
+// the existing files match the configured segment count.
 type journalManifest struct {
-	Segments int    `json:"segments"`
-	Format   string `json:"format,omitempty"`
+	Segments int `json:"segments"`
 	// Entries holds each segment's live entry count at the time the
 	// manifest was written (compaction, clean close, attach). It is a
 	// presize hint only — attach allocates each empty segment map at this
@@ -828,7 +677,6 @@ type journalManifest struct {
 
 // replayStats captures one attach-time replay (see JournalStats).
 type replayStats struct {
-	Format    JournalFormat
 	Workers   int
 	Records   uint64
 	Bytes     uint64
@@ -867,30 +715,29 @@ func forEachIdx(workers, n int, fn func(int)) {
 }
 
 // AttachJournalSet replays and attaches one journal per segment. It
-// returns the total records replayed across files. Three on-disk layouts
-// are accepted:
+// returns the total records replayed across files. Two on-disk layouts are
+// accepted:
 //
 //   - Fresh or matching segment files: each file replays relaxed into its
-//     segment(s) — linear in live entries after compaction, since a
-//     compacted file is exactly one entry record per live entry.
-//   - A legacy single-file journal at Base (pre-segmentation data dir):
-//     replayed strictly, then folded into segment files via a compaction
-//     sweep; the legacy file is removed afterwards. A crash anywhere in
-//     the migration is safe: entry upserts make re-folding idempotent.
+//     segment — linear in live entries after compaction, since a compacted
+//     file is exactly one entry record per live entry.
 //   - Segment files written under a different segment count: replayed
 //     through the current router (a DN's records are totally ordered
 //     within whichever single file held them), then rewritten into the
-//     current layout and the stale files removed.
+//     current layout and the stale files removed. A crash anywhere in the
+//     re-fold is safe: entry upserts make re-folding idempotent.
+//
+// Anything else is foreign data and is refused, never replayed or dropped:
+// a file at Base itself (the pre-segmentation single-file layout) or a
+// segment file whose records are not v2 frames fails the attach with an
+// error naming the file, which stays on disk untouched.
 //
 // When the on-disk layout matches the configured segment count, the files
-// replay CONCURRENTLY on a pool of cfg.Workers goroutines (default
-// GOMAXPROCS): each segment's file only ever touches that segment's entry
-// map, so the only cross-segment work — the parent/child link pass and the
-// global sequence restore — runs after every file has landed. The legacy
-// and re-fold layouts keep the sequential path (their records cross
-// segments). A set written in the other record format (manifest says so)
-// replays normally — the decoder sniffs per record — and is migrated to
-// cfg.Format through the same compaction rewrite the layout migrations use.
+// replay CONCURRENTLY on min(GOMAXPROCS, segments) goroutines: each
+// segment's file only ever touches that segment's entry map, so the only
+// cross-segment work — the parent/child link pass and the global sequence
+// restore — runs after every file has landed. A re-fold replays
+// sequentially (its records cross segments).
 func (d *DIT) AttachJournalSet(cfg JournalSetConfig) (int, error) {
 	for _, s := range d.segs {
 		s.mu.RLock()
@@ -899,6 +746,9 @@ func (d *DIT) AttachJournalSet(cfg JournalSetConfig) (int, error) {
 		if attached {
 			return 0, fmt.Errorf("directory: journal already attached")
 		}
+	}
+	if _, err := os.Stat(cfg.Base); err == nil {
+		return 0, fmt.Errorf("directory: %s is a single-file journal, a layout this version does not read; refusing to attach over it", cfg.Base)
 	}
 
 	// A crash mid-compaction leaves a .compact temporary; it is garbage
@@ -910,75 +760,35 @@ func (d *DIT) AttachJournalSet(cfg JournalSetConfig) (int, error) {
 		}
 	}
 
-	// Read the layout manifest (absence means legacy or fresh).
-	manifestPath := cfg.Base + ".meta"
+	// Read the layout manifest (absence means a fresh set).
 	diskSegs := 0
-	diskFormat := FormatJSON // manifests predating v2 carry no format field
-	haveManifest := false
 	var entriesHint []int
-	if b, err := os.ReadFile(manifestPath); err == nil {
+	if b, err := os.ReadFile(cfg.Base + ".meta"); err == nil {
 		var m journalManifest
 		if json.Unmarshal(b, &m) == nil {
 			diskSegs = m.Segments
-			haveManifest = true
 			entriesHint = m.Entries
-			if m.Format != "" {
-				if f, ferr := ParseJournalFormat(m.Format); ferr == nil {
-					diskFormat = f
-				}
-			}
 		}
 	}
 
 	total := 0
-	migrate := false
-	legacy := false
 	replayStart := time.Now()
-	rst := replayStats{Format: cfg.Format, Workers: 1}
-
-	// Legacy single-file journal: strict replay (one file carries the
-	// global order, so the original operation semantics hold exactly).
-	if _, err := os.Stat(cfg.Base); err == nil {
-		n, nb, torn, err := d.replayFile(cfg.Base, d.applyRecord)
-		if err != nil {
-			return total, err
-		}
-		if torn {
-			d.tornTails.Add(1)
-		}
-		total += n
-		rst.Records += uint64(n)
-		rst.Bytes += uint64(nb)
-		migrate = true
-		legacy = true
-	}
-
-	// A set written under a different segment count is re-folded; one
-	// written in the other record format is rewritten in cfg.Format. Both
-	// go through the same migrating compaction after attach.
-	refold := diskSegs != 0 && diskSegs != len(d.segs)
-	if refold || (haveManifest && diskFormat != cfg.Format) {
-		migrate = true
-	}
+	rst := replayStats{Workers: 1}
 	maxSeq := uint64(0)
-	applied := 0
 	var stale []string
 
-	if refold || legacy {
-		// Foreign layouts replay sequentially, in file order: their records
-		// route across segments through the current router, and files
-		// beyond the configured count (larger previous layout) are folded
-		// in and removed after migration.
-		scan := len(d.segs)
-		if diskSegs > scan {
-			scan = diskSegs
-		}
+	// A set written under a different segment count is re-folded through
+	// a compaction after attach.
+	refold := diskSegs != 0 && diskSegs != len(d.segs)
+	if refold {
+		// The foreign layout replays sequentially, in file order: its
+		// records route across segments through the current router, and
+		// files beyond the configured count (larger previous layout) are
+		// folded in and removed after migration.
+		scan := max(len(d.segs), diskSegs)
 		rst.SegmentNs = make([]int64, scan)
 		for i := 0; i < scan; i++ {
 			path := segJournalPath(cfg.Base, i)
-			if _, err := os.Stat(path); err != nil {
-				continue
-			}
 			t0 := time.Now()
 			n, ms, nb, torn, err := d.replayRelaxed(path)
 			if err != nil {
@@ -988,13 +798,10 @@ func (d *DIT) AttachJournalSet(cfg JournalSetConfig) (int, error) {
 				d.tornTails.Add(1)
 			}
 			total += n
-			applied += n
 			rst.Records += uint64(n)
 			rst.Bytes += uint64(nb)
 			rst.SegmentNs[i] = time.Since(t0).Nanoseconds()
-			if ms > maxSeq {
-				maxSeq = ms
-			}
+			maxSeq = max(maxSeq, ms)
 			if i >= len(d.segs) {
 				stale = append(stale, path)
 			}
@@ -1002,14 +809,7 @@ func (d *DIT) AttachJournalSet(cfg JournalSetConfig) (int, error) {
 	} else {
 		// Matching layout: every file touches only its own segment's entry
 		// map, so the files replay concurrently on the worker pool.
-		workers := cfg.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > len(d.segs) {
-			workers = len(d.segs)
-		}
-		rst.Workers = workers
+		rst.Workers = min(runtime.GOMAXPROCS(0), len(d.segs))
 		// Presize each empty segment map from the manifest's entry counts:
 		// a compacted file upserts exactly that many live entries, and
 		// growing a multi-hundred-thousand-key map mid-replay (repeated
@@ -1033,13 +833,9 @@ func (d *DIT) AttachJournalSet(cfg JournalSetConfig) (int, error) {
 			err  error
 		}
 		res := make([]segReplay, len(d.segs))
-		forEachIdx(workers, len(d.segs), func(i int) {
-			path := segJournalPath(cfg.Base, i)
-			if _, err := os.Stat(path); err != nil {
-				return
-			}
+		forEachIdx(rst.Workers, len(d.segs), func(i int) {
 			t0 := time.Now()
-			n, ms, nb, torn, err := d.replayRelaxed(path)
+			n, ms, nb, torn, err := d.replayRelaxed(segJournalPath(cfg.Base, i))
 			res[i] = segReplay{n: n, max: ms, nb: nb, torn: torn,
 				ns: time.Since(t0).Nanoseconds(), err: err}
 		})
@@ -1052,13 +848,10 @@ func (d *DIT) AttachJournalSet(cfg JournalSetConfig) (int, error) {
 				d.tornTails.Add(1)
 			}
 			total += res[i].n
-			applied += res[i].n
 			rst.Records += uint64(res[i].n)
 			rst.Bytes += uint64(res[i].nb)
 			rst.SegmentNs[i] = res[i].ns
-			if res[i].max > maxSeq {
-				maxSeq = res[i].max
-			}
+			maxSeq = max(maxSeq, res[i].max)
 		}
 	}
 	d.wireChildren(rst.Workers)
@@ -1067,10 +860,7 @@ func (d *DIT) AttachJournalSet(cfg JournalSetConfig) (int, error) {
 
 	// Advance the global sequence past everything replayed so future seqs
 	// never collide with ones already on disk or streamed to replicas.
-	seq := d.seq.Load() + uint64(applied)
-	if maxSeq > seq {
-		seq = maxSeq
-	}
+	seq := max(d.seq.Load()+uint64(total), maxSeq)
 	d.seq.Store(seq)
 	d.em.advanceTo(seq)
 	// Records restored their own stamps into the clock above; raising it to
@@ -1081,30 +871,32 @@ func (d *DIT) AttachJournalSet(cfg JournalSetConfig) (int, error) {
 	// Open and attach every segment's journal.
 	opened := make([]*Journal, 0, len(d.segs))
 	for i, s := range d.segs {
-		j, err := OpenJournal(segJournalPath(cfg.Base, i))
+		j, err := openJournal(segJournalPath(cfg.Base, i), cfg.Mode)
 		if err != nil {
 			for _, oj := range opened {
 				oj.Close()
 			}
 			return total, err
 		}
-		j.Mode, j.MaxBatch, j.Linger, j.Format = cfg.Mode, cfg.MaxBatch, cfg.Linger, cfg.Format
 		opened = append(opened, j)
 		s.mu.Lock()
 		s.journal = j
 		s.commit = newCommitter(d.em, j)
 		s.mu.Unlock()
 	}
-	d.journalBase, d.journalFormat = cfg.Base, cfg.Format
 
-	if migrate {
-		// Fold the foreign layout into the current one: one compaction
-		// sweep writes every segment's live state into its own file, after
-		// which the legacy/stale files are dead weight.
-		if err := d.Compact(); err != nil {
-			return total, err
+	if refold {
+		// Fold the foreign layout into the current one: every segment's
+		// live state is first appended to its own file (see appendSnapshot
+		// for why before any file is replaced), then one compaction sweep
+		// rewrites each file as exactly that state, after which the stale
+		// files are dead weight.
+		for _, s := range d.segs {
+			if err := s.appendSnapshot(); err != nil {
+				return total, err
+			}
 		}
-		if err := os.Remove(cfg.Base); err != nil && !os.IsNotExist(err) {
+		if err := d.Compact(); err != nil {
 			return total, err
 		}
 		for _, path := range stale {
@@ -1119,21 +911,25 @@ func (d *DIT) AttachJournalSet(cfg JournalSetConfig) (int, error) {
 		}
 	}
 
-	if err := d.writeManifest(cfg.Base, cfg.Format); err != nil {
+	// Only now does the set have the configured layout: a re-fold that
+	// failed above leaves the manifest naming the old segment count (no
+	// manifest refresh runs without journalBase), so the next attach
+	// re-folds again instead of misreading old-layout files.
+	d.journalBase = cfg.Base
+	if err := d.writeManifest(cfg.Base); err != nil {
 		return total, err
 	}
 	return total, nil
 }
 
 // writeManifest persists the layout manifest (tmp+rename so it is never
-// torn). Alongside the segment count and record format it records each
-// segment's live entry count, the presize hint the next attach uses.
+// torn). Alongside the segment count it records each segment's live entry
+// count, the presize hint the next attach uses.
 // Refreshed at attach, after every full compaction, and at clean close so
 // the hint tracks the population.
-func (d *DIT) writeManifest(base string, format JournalFormat) error {
+func (d *DIT) writeManifest(base string) error {
 	m := journalManifest{
 		Segments: len(d.segs),
-		Format:   format.String(),
 		Entries:  make([]int, len(d.segs)),
 	}
 	for i, s := range d.segs {
@@ -1190,8 +986,9 @@ func (d *DIT) CloseJournal() error {
 	// A clean close leaves the manifest's presize hint exact for the next
 	// attach (entry counts drift between compactions while serving).
 	if firstErr == nil && d.journalBase != "" {
-		firstErr = d.writeManifest(d.journalBase, d.journalFormat)
+		firstErr = d.writeManifest(d.journalBase)
 	}
+	d.journalBase = ""
 	return firstErr
 }
 
@@ -1200,7 +997,6 @@ func (d *DIT) CloseJournal() error {
 func (d *DIT) JournalStats() JournalStats {
 	var out JournalStats
 	if rs := d.replay.Load(); rs != nil {
-		out.Format = rs.Format.String()
 		out.ReplayedRecords = rs.Records
 		out.ReplayedBytes = rs.Bytes
 		out.ReplayNs = rs.WallNs
@@ -1210,9 +1006,6 @@ func (d *DIT) JournalStats() JournalStats {
 	for _, s := range d.segs {
 		s.mu.RLock()
 		c := s.commit
-		if s.journal != nil && out.Format == "" {
-			out.Format = s.journal.Format.String()
-		}
 		s.mu.RUnlock()
 		if c == nil {
 			continue
@@ -1237,22 +1030,21 @@ func (d *DIT) JournalStats() JournalStats {
 	return out
 }
 
-// replayFile applies all records from path (missing file = empty journal)
-// through apply, reporting the journal bytes consumed by complete records.
-// Each record's first byte says what it is — 0xB2 a v2 frame, anything
-// else a JSON line — so one file may mix formats (the state between a
-// format switch and its migrating compaction). A torn final record — an
-// incomplete frame, or unmarshalable bytes with nothing but emptiness
-// after them; the signature of a crash mid-append — is truncated from the
-// file and reported via torn; a damaged record followed by more data is
-// real corruption and errors.
-func (d *DIT) replayFile(path string, apply func(UpdateRecord) error) (count int, nbytes int64, torn bool, err error) {
+// replayRelaxed applies every record of one segment journal (missing file
+// = empty journal) through applyRelaxed, reporting the highest commit seq
+// seen and the journal bytes consumed by complete records. Every record
+// must be a v2 frame: a file holding anything else at a record boundary —
+// another format's data, or damage — fails replay and is left as it is.
+// A torn final frame (the signature of a crash mid-append; tears only
+// shorten the file) is truncated from the file and reported via torn; a
+// complete frame that fails its checksum is corruption and errors.
+func (d *DIT) replayRelaxed(path string) (count int, maxSeq uint64, nbytes int64, torn bool, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return 0, 0, false, nil
+		return 0, 0, 0, false, nil
 	}
 	if err != nil {
-		return 0, 0, false, err
+		return 0, 0, 0, false, err
 	}
 	defer f.Close()
 	r := bufio.NewReaderSize(f, 256*1024)
@@ -1262,155 +1054,36 @@ func (d *DIT) replayFile(path string, apply func(UpdateRecord) error) (count int
 	for {
 		first, perr := r.Peek(1)
 		if perr == io.EOF {
-			return count, off, false, nil
+			return count, maxSeq, off, false, nil
 		}
 		if perr != nil {
-			return count, off, false, perr
+			return count, maxSeq, off, false, perr
 		}
-		if first[0] == frameMarkerV2 {
-			n, ferr := dec.readFrame(r, &rec)
-			if ferr == errTornFrameV2 {
-				// Torn tail: drop it so future appends start at a record
-				// boundary instead of extending garbage.
-				if terr := os.Truncate(path, off); terr != nil {
-					return count, off, false, fmt.Errorf("directory: truncating torn journal tail: %w", terr)
-				}
-				return count, off, true, nil
-			}
-			if ferr != nil {
-				return count, off, false, fmt.Errorf("directory: journal record %d: %w", count+1, ferr)
-			}
-			if aerr := apply(rec); aerr != nil {
-				return count, off, false, fmt.Errorf("directory: replaying record %d (%s %q): %w",
-					count+1, rec.Op, rec.DN, aerr)
-			}
-			count++
-			off += int64(n)
-			continue
+		if first[0] != frameMarkerV2 {
+			return count, maxSeq, off, false, fmt.Errorf(
+				"directory: %s: byte 0x%02x at offset %d is not a journal v2 frame marker; refusing to replay foreign or damaged data",
+				path, first[0], off)
 		}
-		line, rerr := r.ReadBytes('\n')
-		lineLen := int64(len(line))
-		recb := bytes.TrimSuffix(line, []byte{'\n'})
-		if len(bytes.TrimSpace(recb)) > 0 {
-			var u UpdateRecord
-			if uerr := json.Unmarshal(recb, &u); uerr != nil {
-				rest, _ := io.ReadAll(r)
-				if len(bytes.TrimSpace(rest)) > 0 {
-					return count, off, false, fmt.Errorf("directory: journal record %d: %w", count+1, uerr)
-				}
-				if terr := os.Truncate(path, off); terr != nil {
-					return count, off, false, fmt.Errorf("directory: truncating torn journal tail: %w", terr)
-				}
-				return count, off, true, nil
+		n, ferr := dec.readFrame(r, &rec)
+		if ferr == errTornFrameV2 {
+			// Torn tail: drop it so future appends start at a record
+			// boundary instead of extending garbage.
+			if terr := os.Truncate(path, off); terr != nil {
+				return count, maxSeq, off, false, fmt.Errorf("directory: truncating torn journal tail: %w", terr)
 			}
-			if aerr := apply(u); aerr != nil {
-				return count, off, false, fmt.Errorf("directory: replaying record %d (%s %q): %w",
-					count+1, u.Op, u.DN, aerr)
-			}
-			count++
+			return count, maxSeq, off, true, nil
 		}
-		off += lineLen
-		if rerr == io.EOF {
-			return count, off, false, nil
+		if ferr != nil {
+			return count, maxSeq, off, false, fmt.Errorf("directory: %s: journal record %d: %w", path, count+1, ferr)
 		}
-		if rerr != nil {
-			return count, off, false, rerr
+		maxSeq = max(maxSeq, rec.Seq)
+		if aerr := d.applyRelaxed(rec); aerr != nil {
+			return count, maxSeq, off, false, fmt.Errorf("directory: %s: replaying record %d (%s %q): %w",
+				path, count+1, rec.Op, rec.DN, aerr)
 		}
+		count++
+		off += int64(n)
 	}
-}
-
-// replayRelaxed replays one segment journal. See applyRelaxed for the
-// (deliberately weaker) semantics; maxSeq reports the highest commit seq
-// seen in the file.
-func (d *DIT) replayRelaxed(path string) (count int, maxSeq uint64, nbytes int64, torn bool, err error) {
-	count, nbytes, torn, err = d.replayFile(path, func(rec UpdateRecord) error {
-		if rec.Seq > maxSeq {
-			maxSeq = rec.Seq
-		}
-		return d.applyRelaxed(rec)
-	})
-	return count, maxSeq, nbytes, torn, err
-}
-
-// applyRecord replays one record of a legacy single-file journal through
-// the public operations — the file carries the global commit order, so
-// full LDAP semantics (parent existence, leaf-only delete, subtree
-// renames) hold at every prefix.
-func (d *DIT) applyRecord(rec UpdateRecord) error {
-	name, err := dn.Parse(rec.DN)
-	if err != nil {
-		return err
-	}
-	switch rec.Op {
-	case "add", "entry":
-		if err := d.Add(name, rec.attrsValue()); err != nil {
-			return err
-		}
-		d.restoreStamp(name.Normalize(), rec.Origin())
-		return nil
-	case "delete":
-		st := rec.Origin()
-		if err := d.Delete(name); err != nil {
-			if !st.IsZero() && CodeOf(err) == ldap.ResultNoSuchObject {
-				// A tombstone-only record: a remote delete journaled for an
-				// entry this node never held. Restore the tombstone alone.
-				d.restoreTombstone(name.Normalize(), st)
-				return nil
-			}
-			return err
-		}
-		if !st.IsZero() {
-			d.restoreTombstone(name.Normalize(), st)
-		}
-		return nil
-	case "modify":
-		changes, err := changesFromRecord(rec)
-		if err != nil {
-			return err
-		}
-		if err := d.Modify(name, changes); err != nil {
-			return err
-		}
-		d.restoreStamp(name.Normalize(), rec.Origin())
-		return nil
-	case "modifydn":
-		newRDN, err := dn.Parse(rec.NewRDN)
-		if err != nil || newRDN.Depth() != 1 {
-			return fmt.Errorf("bad newRDN %q", rec.NewRDN)
-		}
-		if err := d.ModifyDN(name, newRDN.RDN(), rec.DeleteOldRDN); err != nil {
-			return err
-		}
-		d.restoreStamp(name.WithRDN(newRDN.RDN()).Normalize(), rec.Origin())
-		return nil
-	}
-	return fmt.Errorf("unknown journal op %q", rec.Op)
-}
-
-// restoreStamp reinstates a replayed record's origin stamp on its entry
-// (strict replay applies through the public ops, which mint fresh local
-// stamps; without this, a restarted node's entries would lose LWW to
-// stale remote state and diverge). No-op for unstamped legacy records.
-func (d *DIT) restoreStamp(key string, st Stamp) {
-	if st.IsZero() {
-		return
-	}
-	d.bumpClock(st.Seq)
-	s := d.seg(key)
-	s.mu.Lock()
-	if n, ok := s.entries[key]; ok {
-		n.stamp = st
-	}
-	s.mu.Unlock()
-}
-
-// restoreTombstone reinstates a replayed delete's tombstone.
-func (d *DIT) restoreTombstone(key string, st Stamp) {
-	d.bumpClock(st.Seq)
-	s := d.seg(key)
-	s.mu.Lock()
-	s.setTombstone(key, st)
-	s.mu.Unlock()
 }
 
 // applyRelaxed replays one record of a per-segment journal. A segment file

@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -14,33 +15,32 @@ import (
 	"metacomm/internal/ldap"
 )
 
-func journaledDIT(t *testing.T, path string) *DIT {
+// attachOne attaches a journal set at base to a fresh single-segment DIT,
+// so the whole history lands in one file, <base>.seg0.
+func attachOne(t testing.TB, base string, mode SyncMode) *DIT {
 	t.Helper()
 	d := New(nil)
-	j, err := OpenJournal(path)
-	if err != nil {
+	if _, err := d.AttachJournalSet(JournalSetConfig{Base: base, Mode: mode}); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { j.Close() })
-	if _, err := d.AttachJournal(j); err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(func() { d.CloseJournal() })
 	return d
 }
 
+func journaledDIT(t *testing.T, base string) *DIT { return attachOne(t, base, SyncNone) }
+
 // reopen replays the journal into a fresh DIT.
-func reopen(t *testing.T, path string) *DIT {
+func reopen(t *testing.T, base string) *DIT { return attachOne(t, base, SyncNone) }
+
+// v2Frame encodes one record as a v2 frame.
+func v2Frame(t *testing.T, rec UpdateRecord) []byte {
 	t.Helper()
-	d := New(nil)
-	j, err := OpenJournal(path)
+	var enc v2Encoder
+	b, err := enc.appendRecord(nil, &rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { j.Close() })
-	if _, err := d.AttachJournal(j); err != nil {
-		t.Fatal(err)
-	}
-	return d
+	return b
 }
 
 // sameState compares two DITs entry by entry.
@@ -126,11 +126,11 @@ func TestCompactPreservesStateAndShrinks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before, _ := os.Stat(path)
+	before, _ := os.Stat(segJournalPath(path, 0))
 	if err := d.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := os.Stat(path)
+	after, _ := os.Stat(segJournalPath(path, 0))
 	if after.Size() >= before.Size() {
 		t.Errorf("compaction did not shrink: %d -> %d", before.Size(), after.Size())
 	}
@@ -150,34 +150,32 @@ func TestCompactPreservesStateAndShrinks(t *testing.T) {
 func TestJournalDoubleAttachRejected(t *testing.T) {
 	dir := t.TempDir()
 	d := journaledDIT(t, filepath.Join(dir, "a.journal"))
-	j2, err := OpenJournal(filepath.Join(dir, "b.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if _, err := d.AttachJournal(j2); err == nil {
+	if _, err := d.AttachJournalSet(JournalSetConfig{Base: filepath.Join(dir, "b.journal")}); err == nil {
 		t.Error("second journal attached")
 	}
 }
 
 func TestJournalCorruptMidFileSurfaces(t *testing.T) {
 	// A garbage record FOLLOWED by more records is real corruption, not a
-	// torn tail, and must abort startup.
-	path := filepath.Join(t.TempDir(), "dir.journal")
-	content := "{\"op\":\"add\",\"dn\":\"o=X\",\"attrs\":{\"o\":[\"X\"]}}\n" +
-		"not-json\n" +
-		"{\"op\":\"add\",\"dn\":\"cn=a,o=X\",\"attrs\":{\"cn\":[\"a\"]}}\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+	// torn tail, and must abort startup with the file left as it was.
+	base := filepath.Join(t.TempDir(), "dir.journal")
+	var content []byte
+	content = append(content, v2Frame(t, UpdateRecord{Seq: 1, Op: "add", DN: "o=X",
+		Attrs: map[string][]string{"o": {"X"}}})...)
+	content = append(content, "not-a-frame\n"...)
+	content = append(content, v2Frame(t, UpdateRecord{Seq: 2, Op: "add", DN: "cn=a,o=X",
+		Attrs: map[string][]string{"cn": {"a"}}})...)
+	seg0 := segJournalPath(base, 0)
+	if err := os.WriteFile(seg0, content, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	d := New(nil)
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	if _, err := d.AttachJournal(j); err == nil {
+	if _, err := d.AttachJournalSet(JournalSetConfig{Base: base}); err == nil {
+		d.CloseJournal()
 		t.Error("corrupt journal replayed cleanly")
+	}
+	if after, err := os.ReadFile(seg0); err != nil || !bytes.Equal(after, content) {
+		t.Errorf("corrupt journal changed on disk (%v)", err)
 	}
 }
 
@@ -192,21 +190,20 @@ func TestJournalTornTailTolerated(t *testing.T) {
 	if err := d.CloseJournal(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	torn := v2Frame(t, UpdateRecord{Seq: 3, Op: "add", DN: "cn=torn,o=Lucent",
+		Attrs: map[string][]string{"cn": {"torn"}}})
+	f, err := os.OpenFile(segJournalPath(path, 0), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"op":"add","dn":"cn=torn,o=Lu`); err != nil {
+	if _, err := f.Write(torn[:len(torn)/2]); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
 
 	restored := New(nil)
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := restored.AttachJournal(j)
+	t.Cleanup(func() { restored.CloseJournal() })
+	n, err := restored.AttachJournalSet(JournalSetConfig{Base: path})
 	if err != nil {
 		t.Fatalf("torn tail not tolerated: %v", err)
 	}
@@ -234,20 +231,7 @@ func TestJournalTornTailTolerated(t *testing.T) {
 // This is the scripts/check.sh group-commit smoke.
 func TestJournalGroupCommitBatches(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dir.journal")
-	d := New(nil)
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Mode = SyncGroup
-	// A small linger makes group formation deterministic even on a
-	// single-CPU runner: the committer waits for the other writers to
-	// stage before writing the group.
-	j.Linger = 2 * time.Millisecond
-	if _, err := d.AttachJournal(j); err != nil {
-		t.Fatal(err)
-	}
-	defer d.CloseJournal()
+	d := attachOne(t, path, SyncGroup)
 	mustAddP(t, d, "o=Lucent", map[string][]string{"objectClass": {"organization"}})
 	const writers, each = 3, 40
 	for i := 0; i < writers; i++ {
@@ -296,15 +280,7 @@ func TestJournalGroupCommitBatches(t *testing.T) {
 func TestGroupCommitCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "dir.journal")
-	d := New(nil)
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Mode = SyncGroup
-	if _, err := d.AttachJournal(j); err != nil {
-		t.Fatal(err)
-	}
+	d := attachOne(t, path, SyncGroup)
 	mustAddP(t, d, "o=Lucent", map[string][]string{"objectClass": {"organization"}})
 	const writers, each = 8, 50
 	type acked struct {
@@ -348,24 +324,22 @@ func TestGroupCommitCrashRecovery(t *testing.T) {
 		ackedAtCrash[k] = v
 	}
 	ack.mu.Unlock()
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(segJournalPath(path, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	crashed := filepath.Join(dir, "crashed.journal")
-	data = append(data, []byte(`{"seq":99999,"op":"modify","dn":"cn=W0,o=Luce`)...)
-	if err := os.WriteFile(crashed, data, 0o644); err != nil {
+	inFlight := v2Frame(t, UpdateRecord{Seq: 99999, Op: "modify", DN: "cn=W0,o=Lucent",
+		Changes: []UpdateChange{{Op: "replace", Attr: "roomNumber", Values: []string{"99999"}}}})
+	data = append(data, inFlight[:len(inFlight)-3]...)
+	if err := os.WriteFile(segJournalPath(crashed, 0), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
 
 	restored := New(nil)
-	j2, err := OpenJournal(crashed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if _, err := restored.AttachJournal(j2); err != nil {
+	defer restored.CloseJournal()
+	if _, err := restored.AttachJournalSet(JournalSetConfig{Base: crashed}); err != nil {
 		t.Fatalf("crash replay failed: %v", err)
 	}
 	for i, want := range ackedAtCrash {
@@ -442,17 +416,11 @@ func BenchmarkJournalAblation(b *testing.B) {
 	run := func(b *testing.B, journaled, syncEvery bool) {
 		d := New(nil)
 		if journaled {
-			j, err := OpenJournal(filepath.Join(b.TempDir(), "bench.journal"))
-			if err != nil {
-				b.Fatal(err)
-			}
+			mode := SyncNone
 			if syncEvery {
-				j.Mode = SyncAlways
+				mode = SyncAlways
 			}
-			defer j.Close()
-			if _, err := d.AttachJournal(j); err != nil {
-				b.Fatal(err)
-			}
+			d = attachOne(b, filepath.Join(b.TempDir(), "bench.journal"), mode)
 		}
 		if err := d.Add(dn.MustParse("o=Lucent"), AttrsFrom(map[string][]string{
 			"objectClass": {"organization"}})); err != nil {

@@ -3,29 +3,23 @@ package directory
 import (
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
 // BenchmarkReplayFormats measures cold-attach replay of a compacted
-// 8-segment journal set in each format, sequentially (Workers: 1), and
-// reports per-record decode+apply cost. This is the unit-level check behind
-// experiment E22's "v2 ≥ 3× JSON records/s" acceptance bar; run benchscale
+// 8-segment v2 journal set, sequentially and on a two-worker pool, and
+// reports per-record decode+apply cost. The replay pool is
+// min(GOMAXPROCS, segments), so each point pins GOMAXPROCS to its worker
+// count. This is the unit-level check behind experiment E22; run benchscale
 // for the full-population numbers.
 func BenchmarkReplayFormats(b *testing.B) {
-	for _, cfg := range []struct {
-		format  JournalFormat
-		workers int
-	}{
-		{FormatV2, 1},
-		{FormatV2, 2},
-		{FormatJSON, 1},
-	} {
-		format, workers := cfg.format, cfg.workers
-		b.Run(fmt.Sprintf("%s-w%d", format, workers), func(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("v2-w%d", workers), func(b *testing.B) {
 			dir := b.TempDir()
 			base := filepath.Join(dir, "dir.journal")
 			d := NewSegmented(nil, 8)
-			if _, err := d.AttachJournalSet(JournalSetConfig{Base: base, Mode: SyncNone, Format: format}); err != nil {
+			if _, err := d.AttachJournalSet(JournalSetConfig{Base: base, Mode: SyncNone}); err != nil {
 				b.Fatal(err)
 			}
 			const n = 20000
@@ -47,10 +41,11 @@ func BenchmarkReplayFormats(b *testing.B) {
 			if err := d.CloseJournal(); err != nil {
 				b.Fatal(err)
 			}
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				cold := NewSegmented(nil, 8)
-				if _, err := cold.AttachJournalSet(JournalSetConfig{Base: base, Mode: SyncNone, Format: format, Workers: workers}); err != nil {
+				if _, err := cold.AttachJournalSet(JournalSetConfig{Base: base, Mode: SyncNone}); err != nil {
 					b.Fatal(err)
 				}
 				if cold.Len() != n+1 {

@@ -1,9 +1,11 @@
 package directory
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -155,16 +157,11 @@ func TestSegmentCountChangeReplay(t *testing.T) {
 	}
 }
 
-func TestLegacyJournalMigration(t *testing.T) {
+// TestOneSegmentSetRefoldsIntoEight writes a whole history, renames
+// included, into a single-segment set and re-folds it into eight segments.
+func TestOneSegmentSetRefoldsIntoEight(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "dir.journal")
-	d := New(nil)
-	j, err := OpenJournal(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.AttachJournal(j); err != nil {
-		t.Fatal(err)
-	}
+	d := segmentedDIT(t, base, 1)
 	seedOrg(t, d, 25)
 	if err := d.ModifyDN(dn.MustParse("cn=p0,o=Lucent"), dn.RDN{{Attr: "cn", Value: "p0 prime"}}, true); err != nil {
 		t.Fatal(err)
@@ -173,9 +170,6 @@ func TestLegacyJournalMigration(t *testing.T) {
 
 	migrated := reopenSet(t, base, 8)
 	sameState(t, d, migrated)
-	if _, err := os.Stat(base); !os.IsNotExist(err) {
-		t.Error("legacy journal file survived migration")
-	}
 	for i := 0; i < 8; i++ {
 		if _, err := os.Stat(segJournalPath(base, i)); err != nil {
 			t.Errorf("segment file %d missing after migration: %v", i, err)
@@ -355,6 +349,47 @@ func compactCrash(t *testing.T, stage string) {
 
 func TestCompactCrashAtTmpWritten(t *testing.T) { compactCrash(t, "tmp-written") }
 func TestCompactCrashMidSplice(t *testing.T)    { compactCrash(t, "mid-splice") }
+func TestCompactCrashPreRename(t *testing.T)    { compactCrash(t, "pre-rename") }
+
+// TestAttachRefusesForeignData covers the two shapes of data this version
+// does not read: a segment file whose first byte is not the v2 frame
+// marker (here a JSON line), and a file at the pre-segmentation
+// single-file path <Base>. Attach must fail naming the file and leave it
+// byte-identical — never truncate it as a torn tail, never skip it.
+func TestAttachRefusesForeignData(t *testing.T) {
+	jsonLine := []byte(`{"seq":1,"op":"add","dn":"o=Lucent","attrs":{"objectClass":["organization"]}}` + "\n")
+	for _, tc := range []struct {
+		name string
+		file func(base string) string
+	}{
+		{"segment file", func(base string) string { return segJournalPath(base, 1) }},
+		{"single-file layout", func(base string) string { return base }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := filepath.Join(t.TempDir(), "dir.journal")
+			d := segmentedDIT(t, base, 2)
+			seedOrg(t, d, 10)
+			d.CloseJournal()
+			foreign := tc.file(base)
+			if err := os.WriteFile(foreign, jsonLine, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			again := NewSegmented(nil, 2)
+			_, err := again.AttachJournalSet(JournalSetConfig{Base: base, Mode: SyncGroup})
+			if err == nil {
+				again.CloseJournal()
+				t.Fatal("attach accepted foreign data")
+			}
+			if !strings.Contains(err.Error(), foreign) {
+				t.Errorf("error does not name %s: %v", foreign, err)
+			}
+			if got, err := os.ReadFile(foreign); err != nil || !bytes.Equal(got, jsonLine) {
+				t.Fatalf("foreign file changed on disk: %q (%v)", got, err)
+			}
+		})
+	}
+}
 
 func TestAutoCompactLifecycle(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "dir.journal")

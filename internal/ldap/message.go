@@ -377,17 +377,6 @@ func (m *Message) element() *ber.Element {
 
 // --- decoding ---
 
-// ReadMessage reads and decodes one LDAPMessage from r, allocating fresh
-// buffers for the message. Connection loops should prefer Reader, which
-// reuses its decode storage across messages.
-func ReadMessage(r io.Reader) (*Message, error) {
-	e, err := ber.ReadElement(r)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeMessage(e)
-}
-
 // Reader reads LDAP messages from one connection with zero-copy BER decode:
 // the BER element tree is borrowed from per-connection reused storage, and
 // DecodeMessage converts everything it keeps into owned memory (strings, or

@@ -376,10 +376,18 @@ func (d *deviceOutbox) shardOf(norm string) int {
 
 // run is the device drainer: it sleeps while the backlog is empty, and
 // otherwise makes replay passes separated by the backoff the failing pass
-// asked for.
+// asked for. Stop is checked at the top of every iteration, whichever
+// branch led there: a pass that saw stop returns 0 ("go again now"), and
+// a wake-up or expired backoff may win its select against a closed stop,
+// so no single branch's check is enough to end a non-empty backlog's loop.
 func (d *deviceOutbox) run() {
 	defer d.ob.wg.Done()
 	for {
+		select {
+		case <-d.ob.stop:
+			return
+		default:
+		}
 		d.mu.Lock()
 		idle := d.backlog == 0
 		d.mu.Unlock()

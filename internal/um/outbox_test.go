@@ -9,6 +9,7 @@ package um_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -479,5 +480,57 @@ func TestOutboxRepairDeletesVanishedEntry(t *testing.T) {
 	}, "repair to delete the stale device record")
 	if st := pbxStats(t, e.u); st.Repairs == 0 {
 		t.Error("no repair recorded")
+	}
+}
+
+// TestOutboxStopWithBacklogTerminates pins the shutdown invariant: Stop on
+// a UM whose device is down and whose outbox holds a backlog returns within
+// a bounded time, and every goroutine Start launched is gone afterwards. A
+// nanosecond backoff keeps the drainer replaying back to back, so Stop
+// lands while it is inside a pass or just out of an expired backoff — the
+// states in which a drainer that checks stop on only one branch spins
+// forever. Several rounds make that interleaving certain to come up.
+func TestOutboxStopWithBacklogTerminates(t *testing.T) {
+	for round := 0; round < 10; round++ {
+		dir := newFakeDir()
+		pbx := device.NewStore("pbx", "Extension")
+		conv := device.NewStoreConverter(pbx, "metacomm")
+		lib := lexpress.MustStandardLibrary()
+		f, err := filter.NewDeviceFilter(conv, lib)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, err := um.New(um.Config{Suffix: dn.MustParse("o=Lucent"), Library: lib, Backing: dir, Shards: 2,
+			Outbox: um.OutboxConfig{Enable: true, BaseBackoff: time.Nanosecond, MaxBackoff: time.Nanosecond}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		u.AddDevice(f)
+		baseline := runtime.NumGoroutine()
+		if err := u.Start(); err != nil {
+			t.Fatal(err)
+		}
+		e := &outboxEnv{u: u, dir: dir, pbx: pbx}
+		pbx.SetDown(true)
+		for i := 0; i < 4; i++ {
+			e.addPerson(t, fmt.Sprintf("Stop Person %d", i), fmt.Sprintf("2-95%02d", i))
+		}
+		if got := pbxStats(t, u).Backlog; got == 0 {
+			t.Fatal("no backlog before Stop")
+		}
+
+		stopped := make(chan struct{})
+		go func() {
+			u.Stop()
+			close(stopped)
+		}()
+		select {
+		case <-stopped:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: UM.Stop with a live backlog did not return within 5s", round)
+		}
+		waitUntil(t, 2*time.Second, func() bool { return runtime.NumGoroutine() <= baseline },
+			fmt.Sprintf("goroutines to return to the pre-Start baseline of %d", baseline))
+		conv.Close()
 	}
 }

@@ -396,7 +396,6 @@ var statusTmpl = template.Must(template.Must(pageTmpl.Clone()).Parse(`{{define "
 <tr><td>Bytes written</td><td>{{.J.Bytes}}</td></tr>
 <tr><td>Mean commit latency</td><td>{{.JMeanCommit}}</td></tr>
 <tr><td>Torn tails truncated</td><td>{{.J.TornTails}}</td></tr>
-<tr><td>Record format</td><td>{{.J.Format}}</td></tr>
 </table>
 <h3>Group size histogram</h3>
 <table border="1" cellpadding="4">

@@ -173,26 +173,11 @@ type Config struct {
 	// amortization), or "none" (flushed to the OS, never fsynced — the
 	// pre-group-commit behavior). Ignored without DataDir.
 	JournalSync string
-	// JournalBatch caps how many updates one commit group may carry
-	// (0 = directory.DefaultJournalBatch). Groups form from whatever is
-	// staged while the previous group's fsync is in flight, so the cap
-	// only bounds worst-case group latency under deep backlog.
-	JournalBatch int
-	// JournalLinger, when positive, holds a non-full commit group open
-	// that long waiting for more writers before fsyncing. Zero (default)
-	// never delays a group.
-	JournalLinger time.Duration
 	// DITSegments partitions the directory into that many DN-hash segments,
 	// each independently locked with its own journal file and commit
 	// pipeline (0 = directory.DefaultDITSegments). A data dir written under
-	// a different segment count (or by the old single-file journal) is
-	// migrated on startup.
+	// a different segment count is migrated on startup.
 	DITSegments int
-	// AttachWorkers caps the startup journal-replay worker pool: with a
-	// matching on-disk layout the segment files replay concurrently, one
-	// goroutine per file up to this many (0 = GOMAXPROCS, 1 = sequential).
-	// Ignored without DataDir.
-	AttachWorkers int
 	// CompactInterval, when positive, runs background journal compaction:
 	// every interval one segment (round-robin) whose journal has grown
 	// enough is rewritten online — no stop-the-world pause, replay time
@@ -285,11 +270,8 @@ func Start(cfg Config) (*System, error) {
 			return nil, fmt.Errorf("metacomm: %w", err)
 		}
 		if _, err := s.DIT.AttachJournalSet(directory.JournalSetConfig{
-			Base:     filepath.Join(cfg.DataDir, "directory.journal"),
-			Mode:     mode,
-			MaxBatch: cfg.JournalBatch,
-			Linger:   cfg.JournalLinger,
-			Workers:  cfg.AttachWorkers,
+			Base: filepath.Join(cfg.DataDir, "directory.journal"),
+			Mode: mode,
 		}); err != nil {
 			return nil, fmt.Errorf("metacomm: replaying journal: %w", err)
 		}

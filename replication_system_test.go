@@ -13,17 +13,23 @@ import (
 	"metacomm/internal/ldap"
 )
 
-// freePort grabs a loopback port the kernel considers free right now, for
-// nodes that must be dialable at a known address before they start.
+// freePort grabs a loopback port that is free right now, for nodes that
+// must be dialable at a known address before they start. It picks below
+// the kernel's ephemeral range (32768 and up by default on Linux): a port
+// from that range can be taken as the source port of any outgoing
+// connection — a starting node makes dozens — between this probe and the
+// node's own bind.
 func freePort(t *testing.T) string {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 100; i++ {
+		addr := fmt.Sprintf("127.0.0.1:%d", 20000+rand.Intn(12000))
+		if l, err := net.Listen("tcp", addr); err == nil {
+			l.Close()
+			return addr
+		}
 	}
-	addr := l.Addr().String()
-	l.Close()
-	return addr
+	t.Fatal("no free loopback port in 20000-31999")
+	return ""
 }
 
 // waitFingerprints polls until every system's DIT reports the same

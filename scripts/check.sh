@@ -15,9 +15,11 @@ go test -run TestMultiMasterWritesAnywhereConverge -count=1 .
 # Group-commit smoke: three concurrent writers against a SyncGroup journal
 # must produce at least one multi-record commit group (batch > 1 observed).
 go test -run TestJournalGroupCommitBatches -count=1 ./internal/directory/
-# Journal-format migration smoke: a legacy JSON journal set must come back
-# as v2 (binary frames on disk, manifest updated, identical entry state).
-go test -run TestLegacyJSONJournalMigratesToV2 -count=1 ./internal/directory/
+# Journal re-fold smoke: a set written under one segment count must come
+# back under another with identical entry state, including after a crash
+# at every stage of the re-fold's compaction; foreign data (a JSON segment
+# file, a single-file journal) must be refused and left untouched.
+go test -run 'TestSegmentCountChangeReplay|TestOneSegmentSetRefoldsIntoEight|TestMigrationCrash|TestAttachRefusesForeignData' -count=1 ./internal/directory/
 go test -fuzz=FuzzDecode -fuzztime=10s ./internal/ber/
 go test -fuzz=FuzzParse -fuzztime=10s ./internal/lexpress/
 go test -fuzz=FuzzCompilePattern -fuzztime=10s ./internal/lexpress/
