@@ -42,6 +42,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/lexpress/
 	$(GO) test -fuzz=FuzzCompilePattern -fuzztime=10s ./internal/lexpress/
 	$(GO) test -fuzz=FuzzJournalV2Record -fuzztime=10s ./internal/directory/
+	$(GO) test -fuzz=FuzzReplicationStream -fuzztime=10s ./internal/replica/
 
 # One iteration of every benchmark: catches harness rot without the cost of
 # a real measurement run.

@@ -56,7 +56,7 @@ func main() {
 		Config: configJSON{
 			Conns: *conns, Pipeline: *depth, DurationSec: duration.Seconds(),
 			Entries: *entries, JoinEntries: *joinEntries,
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
+			GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
 		},
 	}
 
@@ -269,6 +269,7 @@ type configJSON struct {
 	Entries     int     `json:"entries"`
 	JoinEntries int     `json:"join_entries"`
 	GOMAXPROCS  int     `json:"gomaxprocs"`
+	NumCPU      int     `json:"num_cpu"`
 }
 
 type scalingJSON struct {

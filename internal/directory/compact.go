@@ -266,18 +266,18 @@ func (snap segmentSnapshot) writeTo(w *bufio.Writer) error {
 		return ents[i].key < ents[j].key
 	})
 	sort.Slice(tombs, func(i, j int) bool { return tombs[i].Key < tombs[j].Key })
-	var enc v2Encoder
+	var enc FrameEncoder
 	var bin []byte
 	put := func(rec UpdateRecord) error {
 		var err error
-		if bin, err = enc.appendRecord(bin[:0], &rec); err != nil {
+		if bin, err = enc.Append(bin[:0], &rec); err != nil {
 			return err
 		}
 		_, err = w.Write(bin)
 		return err
 	}
 	for i := range ents {
-		if err := put(UpdateRecord{Op: "entry", DN: ents[i].dn.String(), attrsDec: ents[i].attrs, normKey: ents[i].key,
+		if err := put(UpdateRecord{Op: "entry", DN: ents[i].dn.String(), Attrs: ents[i].attrs, normKey: ents[i].key,
 			OriginSeq: ents[i].stamp.Seq, OriginNode: ents[i].stamp.Node}); err != nil {
 			return err
 		}

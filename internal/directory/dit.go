@@ -373,8 +373,8 @@ func (d *DIT) addLocked(sa, sp *segment, name dn.DN, key, parentKey string, a *A
 	delete(sa.tombstones, key)
 	d.count.Add(1)
 	seq := d.seq.Add(1)
-	rec := UpdateRecord{Seq: seq, Op: "add", DN: name.String(), Attrs: a.Map(),
-		OriginSeq: st.Seq, OriginNode: st.Node, post: a}
+	rec := UpdateRecord{Seq: seq, Op: "add", DN: name.String(), Attrs: a,
+		OriginSeq: st.Seq, OriginNode: st.Node}
 	return d.commitLocked(sa, rec), nil
 }
 
@@ -454,7 +454,7 @@ func (d *DIT) modifyLocked(s *segment, name dn.DN, key string, changes []ldap.Ch
 	rec := modifyRecord(name, changes)
 	rec.Seq = seq
 	rec.OriginSeq, rec.OriginNode = st.Seq, st.Node
-	rec.post = work
+	rec.Attrs = work
 	return d.commitLocked(s, rec), nil
 }
 
@@ -673,7 +673,7 @@ func (d *DIT) modifyDNLocked(name dn.DN, newRDN dn.RDN, deleteOldRDN bool) (comm
 	seq := d.seq.Add(1)
 	logical := UpdateRecord{Seq: seq, Op: "modifydn", DN: name.String(),
 		NewRDN: newRDN.String(), DeleteOldRDN: deleteOldRDN,
-		OriginSeq: st.Seq, OriginNode: st.Node, post: work}
+		OriginSeq: st.Seq, OriginNode: st.Node, Attrs: work}
 	if journaled {
 		if err := d.journalRenameParts(seq, st, moves); err != nil {
 			d.em.skip(seq)

@@ -16,10 +16,10 @@ import (
 // round-trip through the encoder, and any single-byte corruption of a
 // valid frame must be rejected (the CRC covers the whole payload).
 func FuzzJournalV2Record(f *testing.F) {
-	var enc v2Encoder
+	var enc FrameEncoder
 	recs := v2TestRecords()
 	for i := range recs {
-		frame, err := enc.appendRecord(nil, &recs[i])
+		frame, err := enc.Append(nil, &recs[i])
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -29,7 +29,7 @@ func FuzzJournalV2Record(f *testing.F) {
 	f.Add([]byte{frameMarkerV2})
 	f.Add([]byte{frameMarkerV2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var dec v2Decoder
+		var dec FrameDecoder
 		var rec UpdateRecord
 		n, err := dec.readFrame(bufio.NewReader(bytes.NewReader(data)), &rec)
 		if err != nil {
@@ -40,12 +40,8 @@ func FuzzJournalV2Record(f *testing.F) {
 		}
 		// Round trip: re-encoding the decoded record must produce a frame
 		// that decodes back to the same record.
-		if rec.attrsDec != nil {
-			// appendPayloadV2 prefers attrsDec; the map stays nil either way.
-			rec.Attrs = nil
-		}
-		var enc v2Encoder
-		frame, err := enc.appendRecord(nil, &rec)
+		var enc FrameEncoder
+		frame, err := enc.Append(nil, &rec)
 		if err != nil {
 			t.Fatalf("re-encode of decoded record failed: %v\nrecord: %+v", err, rec)
 		}
@@ -59,9 +55,9 @@ func FuzzJournalV2Record(f *testing.F) {
 			len(rec2.Changes) != len(rec.Changes) {
 			t.Fatalf("round trip diverged:\n%+v\nvs\n%+v", rec, rec2)
 		}
-		if rec.attrsDec != nil && !rec2.attrsValue().Equal(rec.attrsDec) {
+		if rec.Attrs != nil && !rec2.Attrs.Equal(rec.Attrs) {
 			t.Fatalf("round-trip attrs diverged:\n%v\nvs\n%v",
-				rec.attrsDec.Map(), rec2.attrsValue().Map())
+				rec.Attrs.Map(), rec2.Attrs.Map())
 		}
 		// Corrupt-frame rejection: flip one payload byte of the re-encoded
 		// frame; the checksum must catch it.
@@ -90,10 +86,10 @@ func TestWriteV2FuzzSeedCorpus(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	var enc v2Encoder
+	var enc FrameEncoder
 	recs := v2TestRecords()
 	for i := range recs {
-		frame, err := enc.appendRecord(nil, &recs[i])
+		frame, err := enc.Append(nil, &recs[i])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Journal record format v2: length-prefixed binary frames, the only record
@@ -67,6 +68,9 @@ const (
 	// maxV2Payload bounds a single record's declared payload so a corrupt
 	// length cannot drive an allocation; far above any real entry.
 	maxV2Payload = 64 << 20
+
+	// payloadChunk is the smallest step the payload buffer grows by.
+	payloadChunk = 1 << 20
 )
 
 // Op tags, payload byte 0.
@@ -91,14 +95,17 @@ var errTornFrameV2 = errors.New("directory: torn journal v2 frame")
 
 var crcV2Table = crc32.MakeTable(crc32.Castagnoli)
 
-// v2Encoder marshals records into frames, reusing one payload scratch
-// buffer across records (the committer keeps one per pipeline).
-type v2Encoder struct {
+// FrameEncoder marshals records into frames, reusing one payload scratch
+// buffer across records (the committer keeps one per pipeline). It and
+// FrameDecoder are the codec's entry points beyond the journal too: the
+// replication stream (internal/replica) ships update records as these same
+// frames, so a record has one encoding wherever it travels.
+type FrameEncoder struct {
 	payload []byte
 }
 
 // appendRecord appends rec as one framed v2 record to dst.
-func (e *v2Encoder) appendRecord(dst []byte, rec *UpdateRecord) ([]byte, error) {
+func (e *FrameEncoder) Append(dst []byte, rec *UpdateRecord) ([]byte, error) {
 	p, err := appendPayloadV2(e.payload[:0], rec)
 	if err != nil {
 		return dst, err
@@ -125,9 +132,9 @@ func appendValuesV2(p []byte, vals []string) []byte {
 	return p
 }
 
-// appendPayloadV2 appends rec's payload bytes (no frame) to p. Attribute
-// maps encode from rec.attrsDec when the record carries one (compaction's
-// fast path — no intermediate map), else from rec.Attrs.
+// appendPayloadV2 appends rec's payload bytes (no frame) to p. Add and
+// entry images encode straight from rec.Attrs; a nil image encodes as no
+// attributes.
 func appendPayloadV2(p []byte, rec *UpdateRecord) ([]byte, error) {
 	var tag byte
 	switch rec.Op {
@@ -152,18 +159,14 @@ func appendPayloadV2(p []byte, rec *UpdateRecord) ([]byte, error) {
 	}
 	switch tag {
 	case opTagAdd, opTagEntry:
-		if a := rec.attrsDec; a != nil {
-			p = binary.AppendUvarint(p, uint64(len(a.fields)))
-			for i := range a.fields {
-				p = appendStringV2(p, a.fields[i].display)
-				p = appendValuesV2(p, a.fields[i].vals)
-			}
-		} else {
-			p = binary.AppendUvarint(p, uint64(len(rec.Attrs)))
-			for name, vals := range rec.Attrs {
-				p = appendStringV2(p, name)
-				p = appendValuesV2(p, vals)
-			}
+		var fields []attrField
+		if rec.Attrs != nil {
+			fields = rec.Attrs.fields
+		}
+		p = binary.AppendUvarint(p, uint64(len(fields)))
+		for i := range fields {
+			p = appendStringV2(p, fields[i].display)
+			p = appendValuesV2(p, fields[i].vals)
 		}
 	case opTagModify:
 		p = binary.AppendUvarint(p, uint64(len(rec.Changes)))
@@ -199,10 +202,10 @@ func appendPayloadV2(p []byte, rec *UpdateRecord) ([]byte, error) {
 	return p, nil
 }
 
-// v2Decoder reads frames from a buffered stream, reusing one payload buffer
+// FrameDecoder reads frames from a buffered stream, reusing one payload buffer
 // across records. Decoded records borrow nothing: every string is its own
 // copy (it outlives the buffer in the DIT).
-type v2Decoder struct {
+type FrameDecoder struct {
 	payload []byte
 	// names caches raw attribute-name spelling -> interned (key, display)
 	// for this stream. A journal repeats the same handful of names per
@@ -216,7 +219,7 @@ type v2Decoder struct {
 // interned display spelling.
 type internedName struct{ key, display string }
 
-func (d *v2Decoder) internName(raw []byte) internedName {
+func (d *FrameDecoder) internName(raw []byte) internedName {
 	if in, ok := d.names[string(raw)]; ok { // no alloc: compiler-recognized pattern
 		return in
 	}
@@ -229,14 +232,28 @@ func (d *v2Decoder) internName(raw []byte) internedName {
 	return in
 }
 
-// readFrame reads one frame from r (whose next byte is the marker) and
-// decodes it into rec, returning the frame's total byte length. An
-// incomplete frame at EOF returns errTornFrameV2; a complete frame that
-// fails its checksum or does not parse is corruption and returns a
-// descriptive error.
-func (d *v2Decoder) readFrame(r *bufio.Reader, rec *UpdateRecord) (int, error) {
-	if _, err := r.ReadByte(); err != nil {
+// Read decodes the next frame from r into rec. Anything but one complete,
+// checksum-verified frame is an error; a stream that ends inside the frame
+// returns io.ErrUnexpectedEOF.
+func (d *FrameDecoder) Read(r *bufio.Reader, rec *UpdateRecord) error {
+	if _, err := d.readFrame(r, rec); err != errTornFrameV2 {
+		return err
+	}
+	return io.ErrUnexpectedEOF
+}
+
+// readFrame reads one frame from r and decodes it into rec, returning the
+// frame's total byte length. A first byte other than the marker is an
+// error. An incomplete frame at EOF returns errTornFrameV2; a complete
+// frame that fails its checksum or does not parse is corruption and
+// returns a descriptive error.
+func (d *FrameDecoder) readFrame(r *bufio.Reader, rec *UpdateRecord) (int, error) {
+	b, err := r.ReadByte()
+	if err != nil {
 		return 0, errTornFrameV2
+	}
+	if b != frameMarkerV2 {
+		return 1, fmt.Errorf("byte 0x%02x is not a journal v2 frame marker", b)
 	}
 	n := 1
 	plen, vn, err := readUvarintV2(r)
@@ -250,11 +267,8 @@ func (d *v2Decoder) readFrame(r *bufio.Reader, rec *UpdateRecord) (int, error) {
 	if plen > maxV2Payload {
 		return n, fmt.Errorf("frame payload %d bytes exceeds limit", plen)
 	}
-	if uint64(cap(d.payload)) < plen {
-		d.payload = make([]byte, plen)
-	}
-	p := d.payload[:plen]
-	if _, err := io.ReadFull(r, p); err != nil {
+	p, err := d.readPayload(r, int(plen))
+	if err != nil {
 		return n, errTornFrameV2
 	}
 	n += int(plen)
@@ -270,6 +284,27 @@ func (d *v2Decoder) readFrame(r *bufio.Reader, rec *UpdateRecord) (int, error) {
 		return n, err
 	}
 	return n, nil
+}
+
+// readPayload reads the next n bytes into the reused payload buffer. A
+// buffer too small grows in doubling steps of at least payloadChunk as the
+// bytes arrive, so a declared length is only paid for with data actually
+// read: a short stream claiming a huge frame costs one chunk, not the
+// claim.
+func (d *FrameDecoder) readPayload(r io.Reader, n int) ([]byte, error) {
+	p := d.payload[:0]
+	for len(p) < n {
+		step := min(n-len(p), max(payloadChunk, len(p)))
+		p = slices.Grow(p, step)
+		got, err := io.ReadFull(r, p[len(p):len(p)+step])
+		p = p[:len(p)+got]
+		if err != nil {
+			d.payload = p
+			return nil, err
+		}
+	}
+	d.payload = p
+	return p, nil
 }
 
 // readUvarintV2 is binary.ReadUvarint with a consumed-byte count, so replay
@@ -378,10 +413,9 @@ func (c *v2cursor) values() ([]string, error) {
 }
 
 // decodePayload parses one checksum-verified payload into rec. For
-// add/entry records the attributes decode straight into an *Attrs
-// (rec.attrsDec) with interned names — replay installs it without a
-// map[string][]string round trip.
-func (d *v2Decoder) decodePayload(p []byte, rec *UpdateRecord) error {
+// add/entry records the attributes decode straight into rec.Attrs with
+// interned names — replay and replication install it as decoded.
+func (d *FrameDecoder) decodePayload(p []byte, rec *UpdateRecord) error {
 	*rec = UpdateRecord{}
 	c := v2cursor{b: p}
 	tag, err := c.byte()
@@ -423,7 +457,7 @@ func (d *v2Decoder) decodePayload(p []byte, rec *UpdateRecord) error {
 			a.fields = append(a.fields, attrField{
 				key: in.key, display: in.display, vals: vals})
 		}
-		rec.attrsDec = a
+		rec.Attrs = a
 	case opTagDelete:
 		rec.Op = "delete"
 	case opTagModify:

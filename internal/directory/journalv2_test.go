@@ -19,23 +19,21 @@ import (
 // v2TestRecords is one record of every op shape the journal can carry.
 func v2TestRecords() []UpdateRecord {
 	return []UpdateRecord{
-		{Op: "add", Seq: 1, DN: "cn=A,o=Lucent", Attrs: map[string][]string{
-			"objectClass": {"person"}, "cn": {"A"}, "telephoneNumber": {"555-0001", "555-0002"}}},
-		{Op: "entry", Seq: 42, DN: "o=Lucent", normKey: "o=lucent", Attrs: map[string][]string{
-			"objectClass": {"organization"}}},
+		{Op: "add", Seq: 1, DN: "cn=A,o=Lucent", Attrs: AttrsFrom(map[string][]string{
+			"objectClass": {"person"}, "cn": {"A"}, "telephoneNumber": {"555-0001", "555-0002"}})},
+		{Op: "entry", Seq: 42, DN: "o=Lucent", normKey: "o=lucent", Attrs: AttrsFrom(map[string][]string{
+			"objectClass": {"organization"}})},
 		{Op: "delete", Seq: 7, DN: "cn=B,o=Lucent"},
 		{Op: "modify", Seq: 9, DN: "cn=A,o=Lucent", Changes: []UpdateChange{
 			{Op: "add", Attr: "mail", Values: []string{"a@x"}},
 			{Op: "delete", Attr: "roomNumber"},
 			{Op: "replace", Attr: "cn", Values: []string{"A", "Alice"}}}},
 		{Op: "modifydn", Seq: 11, DN: "cn=A,o=Lucent", NewRDN: "cn=Alice", DeleteOldRDN: true},
-		{Op: "add", Seq: 1 << 40, DN: "", Attrs: map[string][]string{}},
+		{Op: "add", Seq: 1 << 40, DN: "", Attrs: NewAttrs()},
 	}
 }
 
-// sameRecord compares a decoded record against the original, reading the
-// decoded attribute set through attrsValue (the decoder produces *Attrs,
-// not the map).
+// sameRecord compares a decoded record against the original.
 func sameRecord(t *testing.T, want, got *UpdateRecord) {
 	t.Helper()
 	if got.Op != want.Op || got.Seq != want.Seq || got.DN != want.DN ||
@@ -47,26 +45,26 @@ func sameRecord(t *testing.T, want, got *UpdateRecord) {
 		t.Fatalf("decoded changes differ:\n%+v\nvs\n%+v", got.Changes, want.Changes)
 	}
 	if want.Op == "add" || want.Op == "entry" {
-		if !got.attrsValue().Equal(AttrsFrom(want.Attrs)) {
+		if !got.Attrs.Equal(want.Attrs) {
 			t.Fatalf("decoded attrs of %s differ:\n%v\nvs\n%v",
-				want.DN, got.attrsValue().Map(), want.Attrs)
+				want.DN, got.Attrs.Map(), want.Attrs.Map())
 		}
 	}
 }
 
 func TestV2RecordRoundTrip(t *testing.T) {
-	var enc v2Encoder
+	var enc FrameEncoder
 	var buf []byte
 	recs := v2TestRecords()
 	for i := range recs {
 		var err error
-		buf, err = enc.appendRecord(buf, &recs[i])
+		buf, err = enc.Append(buf, &recs[i])
 		if err != nil {
 			t.Fatalf("encode %d: %v", i, err)
 		}
 	}
 	r := bufio.NewReader(bytes.NewReader(buf))
-	var dec v2Decoder
+	var dec FrameDecoder
 	total := 0
 	for i := range recs {
 		var got UpdateRecord
@@ -89,9 +87,9 @@ func TestV2RecordRoundTrip(t *testing.T) {
 // turn and requires decode to fail each time — the CRC (or the frame
 // structure around it) must catch any one-byte corruption.
 func TestV2CorruptFrameRejected(t *testing.T) {
-	var enc v2Encoder
+	var enc FrameEncoder
 	rec := v2TestRecords()[0]
-	frame, err := enc.appendRecord(nil, &rec)
+	frame, err := enc.Append(nil, &rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +97,7 @@ func TestV2CorruptFrameRejected(t *testing.T) {
 		mut := append([]byte(nil), frame...)
 		mut[i] ^= 0x40
 		var got UpdateRecord
-		var dec v2Decoder
+		var dec FrameDecoder
 		_, derr := dec.readFrame(bufio.NewReader(bytes.NewReader(mut)), &got)
 		if derr == nil && mut[0] == frameMarkerV2 {
 			t.Fatalf("flip at byte %d went undetected", i)
@@ -147,9 +145,9 @@ func TestV2TornTailTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Encode one more frame and append only part of it.
-	var enc v2Encoder
-	extra, err := enc.appendRecord(nil, &UpdateRecord{Op: "add", Seq: 999,
-		DN: "cn=torn,o=Lucent", Attrs: map[string][]string{"cn": {"torn"}}})
+	var enc FrameEncoder
+	extra, err := enc.Append(nil, &UpdateRecord{Op: "add", Seq: 999,
+		DN: "cn=torn,o=Lucent", Attrs: AttrsFrom(map[string][]string{"cn": {"torn"}})})
 	if err != nil {
 		t.Fatal(err)
 	}

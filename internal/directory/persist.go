@@ -47,59 +47,46 @@ import (
 // from file position, so records journaled before sequencing existed (or
 // compaction's "entry" records) replay identically.
 type UpdateRecord struct {
-	Seq uint64 `json:"seq,omitempty"`
+	Seq uint64
 
-	Op string `json:"op"` // add | delete | modify | modifydn | entry
+	Op string // add | delete | modify | modifydn | entry
 
-	DN    string              `json:"dn"`
-	Attrs map[string][]string `json:"attrs,omitempty"` // add / entry
+	DN string
 
-	Changes []UpdateChange `json:"changes,omitempty"` // modify
+	// Attrs is the record's one attribute image. For add and entry records
+	// it is the image that was installed, and it is what the journal
+	// encodes. For modify and modifydn records it is the post-image the
+	// update left behind, attached at commit for changelog consumers
+	// (replication, the gateway's before-image cache) and never journaled:
+	// replay reconstructs state from the change list, so replayed modify
+	// records carry none. Nil for deletes. Installed images are shared and
+	// immutable; consumers must not mutate them.
+	Attrs *Attrs
 
-	NewRDN       string `json:"newRDN,omitempty"` // modifydn
-	DeleteOldRDN bool   `json:"deleteOldRDN,omitempty"`
+	Changes []UpdateChange // modify
+
+	NewRDN       string // modifydn
+	DeleteOldRDN bool
 
 	// OriginSeq/OriginNode are the origin stamp — the (Lamport-seq,
 	// node-id) LWW coordinate of the write (replication.go). Journaled and
 	// replicated with every record; zero on records written before
 	// replication existed, which keeps old journals and the v2 codec
 	// byte-compatible (the stamp encodes as an optional trailing field).
-	OriginSeq  uint64 `json:"oseq,omitempty"`
-	OriginNode uint32 `json:"onode,omitempty"`
-
-	// attrsDec, when non-nil, is the add/entry attribute set as a decoded
-	// *Attrs. The v2 codec decodes straight into this form (and compaction
-	// encodes straight out of it), skipping the map[string][]string round
-	// trip; Attrs stays authoritative for live records and the changelog.
-	attrsDec *Attrs
+	OriginSeq  uint64
+	OriginNode uint32
 
 	// normKey, when non-empty, is the entry's normalized DN key, carried by
-	// v2 "entry" frames (compaction knows it for free) so relaxed replay
+	// v2 "entry" frames (the writer knows it for free) so relaxed replay
 	// skips re-normalizing the DN. Must equal dn.Parse(DN).Normalize().
 	normKey string
-
-	// post, when non-nil, is the full attribute state the update left
-	// behind, attached at commit time for changelog consumers that need
-	// images rather than deltas (the replication publisher ships
-	// post-image upserts; see PostImage). Never journaled — replay
-	// reconstructs state, it does not need images.
-	post *Attrs
-}
-
-// attrsValue returns the record's attribute set as an *Attrs, preferring
-// the decoded fast-path form.
-func (r *UpdateRecord) attrsValue() *Attrs {
-	if r.attrsDec != nil {
-		return r.attrsDec
-	}
-	return AttrsFrom(r.Attrs)
 }
 
 // UpdateChange is one modification inside an UpdateRecord.
 type UpdateChange struct {
-	Op     string   `json:"op"` // add | delete | replace
-	Attr   string   `json:"attr"`
-	Values []string `json:"values,omitempty"`
+	Op     string // add | delete | replace
+	Attr   string
+	Values []string
 }
 
 // SyncMode selects when an appended record becomes durable relative to its
@@ -340,7 +327,7 @@ type committer struct {
 	// Marshaling state, reused across groups: each group frames into bin
 	// with enc's reused payload scratch.
 	bin []byte
-	enc v2Encoder
+	enc FrameEncoder
 
 	// Stats, guarded by mu except the atomics.
 	appends  uint64
@@ -530,7 +517,7 @@ func (c *committer) writeGroup(batch []UpdateRecord) (int, error) {
 	var err error
 	c.bin = c.bin[:0]
 	for i := range batch {
-		if c.bin, err = c.enc.appendRecord(c.bin, &batch[i]); err != nil {
+		if c.bin, err = c.enc.Append(c.bin, &batch[i]); err != nil {
 			return 0, err
 		}
 	}
@@ -628,21 +615,21 @@ func (d *DIT) journalRenameParts(seq uint64, st Stamp, moves []renameMove) error
 			OriginSeq: st.Seq, OriginNode: st.Node})
 		nd := m.nd
 		appendRec(d.seg(nd.key), UpdateRecord{Seq: seq, Op: "entry", DN: nd.dn.String(),
-			Attrs: nd.attrs.Map(), OriginSeq: st.Seq, OriginNode: st.Node})
+			Attrs: nd.attrs, normKey: nd.key, OriginSeq: st.Seq, OriginNode: st.Node})
 	}
 	for _, s := range order {
 		if err := s.commit.flush(); err != nil {
 			return err
 		}
 	}
-	var enc v2Encoder
+	var enc FrameEncoder
 	var bin []byte
 	for _, s := range order {
 		recs := bySeg[s]
 		bin = bin[:0]
 		var err error
 		for i := range recs {
-			if bin, err = enc.appendRecord(bin, &recs[i]); err != nil {
+			if bin, err = enc.Append(bin, &recs[i]); err != nil {
 				return err
 			}
 		}
@@ -1048,21 +1035,14 @@ func (d *DIT) replayRelaxed(path string) (count int, maxSeq uint64, nbytes int64
 	}
 	defer f.Close()
 	r := bufio.NewReaderSize(f, 256*1024)
-	var dec v2Decoder
+	var dec FrameDecoder
 	var rec UpdateRecord
 	var off int64 // byte offset of the record being read
 	for {
-		first, perr := r.Peek(1)
-		if perr == io.EOF {
+		if _, perr := r.Peek(1); perr == io.EOF {
 			return count, maxSeq, off, false, nil
-		}
-		if perr != nil {
+		} else if perr != nil {
 			return count, maxSeq, off, false, perr
-		}
-		if first[0] != frameMarkerV2 {
-			return count, maxSeq, off, false, fmt.Errorf(
-				"directory: %s: byte 0x%02x at offset %d is not a journal v2 frame marker; refusing to replay foreign or damaged data",
-				path, first[0], off)
 		}
 		n, ferr := dec.readFrame(r, &rec)
 		if ferr == errTornFrameV2 {
@@ -1074,7 +1054,9 @@ func (d *DIT) replayRelaxed(path string) (count int, maxSeq uint64, nbytes int64
 			return count, maxSeq, off, true, nil
 		}
 		if ferr != nil {
-			return count, maxSeq, off, false, fmt.Errorf("directory: %s: journal record %d: %w", path, count+1, ferr)
+			// Foreign data or damage: refuse to replay it.
+			return count, maxSeq, off, false, fmt.Errorf("directory: %s: journal record %d at offset %d: %w",
+				path, count+1, off, ferr)
 		}
 		maxSeq = max(maxSeq, rec.Seq)
 		if aerr := d.applyRelaxed(rec); aerr != nil {
@@ -1106,7 +1088,7 @@ func (d *DIT) applyRelaxed(rec UpdateRecord) error {
 	s := d.seg(key)
 	switch rec.Op {
 	case "add", "entry":
-		a := rec.attrsValue()
+		a := rec.Attrs
 		st := rec.Origin()
 		d.bumpClock(st.Seq)
 		s.mu.Lock()

@@ -35,8 +35,8 @@ func reopen(t *testing.T, base string) *DIT { return attachOne(t, base, SyncNone
 // v2Frame encodes one record as a v2 frame.
 func v2Frame(t *testing.T, rec UpdateRecord) []byte {
 	t.Helper()
-	var enc v2Encoder
-	b, err := enc.appendRecord(nil, &rec)
+	var enc FrameEncoder
+	b, err := enc.Append(nil, &rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +161,10 @@ func TestJournalCorruptMidFileSurfaces(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "dir.journal")
 	var content []byte
 	content = append(content, v2Frame(t, UpdateRecord{Seq: 1, Op: "add", DN: "o=X",
-		Attrs: map[string][]string{"o": {"X"}}})...)
+		Attrs: AttrsFrom(map[string][]string{"o": {"X"}})})...)
 	content = append(content, "not-a-frame\n"...)
 	content = append(content, v2Frame(t, UpdateRecord{Seq: 2, Op: "add", DN: "cn=a,o=X",
-		Attrs: map[string][]string{"cn": {"a"}}})...)
+		Attrs: AttrsFrom(map[string][]string{"cn": {"a"}})})...)
 	seg0 := segJournalPath(base, 0)
 	if err := os.WriteFile(seg0, content, 0o644); err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestJournalTornTailTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	torn := v2Frame(t, UpdateRecord{Seq: 3, Op: "add", DN: "cn=torn,o=Lucent",
-		Attrs: map[string][]string{"cn": {"torn"}}})
+		Attrs: AttrsFrom(map[string][]string{"cn": {"torn"}})})
 	f, err := os.OpenFile(segJournalPath(path, 0), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)

@@ -30,8 +30,8 @@ import (
 // a Lamport sequence from the origin node's clock plus the origin node id
 // as the total-order tiebreak.
 type Stamp struct {
-	Seq  uint64 `json:"seq"`
-	Node uint32 `json:"node"`
+	Seq  uint64
+	Node uint32
 }
 
 // Less orders stamps: by Lamport seq, node id breaking ties. The relation
@@ -79,12 +79,6 @@ func (d *DIT) stampLocked() Stamp {
 func (r *UpdateRecord) Origin() Stamp {
 	return Stamp{Seq: r.OriginSeq, Node: r.OriginNode}
 }
-
-// PostImage returns the full attribute state the update left behind
-// (nil for deletes and for records restored from pre-replication
-// journals). Replication ships post-images, not deltas: images converge
-// byte-identically under reordering where deltas cannot.
-func (r *UpdateRecord) PostImage() *Attrs { return r.post }
 
 // maxTombstones bounds a segment's tombstone map. When it fills, the
 // oldest-stamped half is dropped — the same age-based GC production
@@ -241,8 +235,7 @@ func (d *DIT) ApplyRemote(name dn.DN, image *Attrs, st Stamp, deleted bool) (Rem
 		n.stamp = st
 		seq := d.seq.Add(1)
 		rec := UpdateRecord{Seq: seq, Op: "entry", DN: name.String(),
-			Attrs: image.Map(), attrsDec: image, normKey: key,
-			OriginSeq: st.Seq, OriginNode: st.Node, post: image}
+			Attrs: image, normKey: key, OriginSeq: st.Seq, OriginNode: st.Node}
 		t := d.commitLocked(sa, rec)
 		unlockPair(sa, sp)
 		if err := t.Wait(); err != nil {
@@ -273,8 +266,7 @@ func (d *DIT) ApplyRemote(name dn.DN, image *Attrs, st Stamp, deleted bool) (Rem
 	d.count.Add(1)
 	seq := d.seq.Add(1)
 	rec := UpdateRecord{Seq: seq, Op: "entry", DN: name.String(),
-		Attrs: image.Map(), attrsDec: image, normKey: key,
-		OriginSeq: st.Seq, OriginNode: st.Node, post: image}
+		Attrs: image, normKey: key, OriginSeq: st.Seq, OriginNode: st.Node}
 	t := d.commitLocked(sa, rec)
 	unlockPair(sa, sp)
 	if err := t.Wait(); err != nil {

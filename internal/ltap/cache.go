@@ -21,9 +21,12 @@ import (
 // gateway holds that entry's LTAP lock, any record affecting an entry is
 // already in the channel by the time a later trap for the same entry drains —
 // the cached image a Lookup returns is never older than the last committed
-// update. Modify records are applied to cached images (not discarded) so the
-// cache stays warm under repeated writes to the same entry, which is the
-// dominant trap-path pattern.
+// update. The cache holds the directory's own committed images: add, entry
+// and modify records each carry the image their update left behind, which
+// replaces the cached one (no second copy of the modify rules to drift from
+// the directory's), so the cache stays warm under repeated writes to the
+// same entry, the dominant trap-path pattern. Images are shared and
+// immutable; Lookup hands out a private Record.
 //
 // Without a changelog (e.g. a remote backend that is not the in-process
 // DIT), the gateway falls back to invalidating written entries on the trap
@@ -32,7 +35,7 @@ import (
 type BeforeImageCache struct {
 	mu      sync.Mutex
 	max     int
-	entries map[string]lexpress.Record
+	entries map[string]*directory.Attrs
 
 	source  *directory.DIT
 	changes <-chan directory.UpdateRecord
@@ -66,7 +69,7 @@ func NewBeforeImageCache(max int) *BeforeImageCache {
 	if max <= 0 {
 		max = 4096
 	}
-	return &BeforeImageCache{max: max, entries: make(map[string]lexpress.Record)}
+	return &BeforeImageCache{max: max, entries: make(map[string]*directory.Attrs)}
 }
 
 // AttachChangelog subscribes the cache to the DIT's committed-update stream
@@ -89,7 +92,7 @@ func (c *BeforeImageCache) subscribeLocked() {
 		if len(c.entries) >= c.max {
 			break
 		}
-		c.entries[e.DN.Normalize()] = recordFromAttrs(e.Attrs.Map())
+		c.entries[e.DN.Normalize()] = e.Attrs
 	}
 }
 
@@ -123,9 +126,9 @@ func (c *BeforeImageCache) Lookup(name string) (lexpress.Record, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.drainLocked()
-	if rec, ok := c.entries[key]; ok {
+	if a, ok := c.entries[key]; ok {
 		c.hits++
-		return rec.Clone(), true
+		return recordFromAttrs(a), true
 	}
 	c.misses++
 	return nil, false
@@ -139,9 +142,13 @@ func (c *BeforeImageCache) Store(name string, rec lexpress.Record) {
 	if err != nil {
 		return
 	}
+	a := directory.NewAttrs()
+	for k, vs := range rec {
+		a.Put(k, vs...)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.storeLocked(parsed.Normalize(), rec.Clone())
+	c.storeLocked(parsed.Normalize(), a)
 }
 
 // Invalidate drops name and everything under it (trap-path coherence when no
@@ -177,7 +184,7 @@ func (c *BeforeImageCache) drainLocked() {
 		select {
 		case rec, ok := <-c.changes:
 			if !ok {
-				c.entries = make(map[string]lexpress.Record)
+				c.entries = make(map[string]*directory.Attrs)
 				c.resyncs++
 				c.subscribeLocked()
 				return
@@ -198,19 +205,15 @@ func (c *BeforeImageCache) applyLocked(rec directory.UpdateRecord) {
 	key := parsed.Normalize()
 	switch rec.Op {
 	case "add", "entry":
-		c.storeLocked(key, recordFromAttrs(rec.Attrs))
+		c.storeLocked(key, rec.Attrs)
+	case "modify":
+		if _, ok := c.entries[key]; ok { // a cold entry stays cold until the trap path faults it in
+			c.entries[key] = rec.Attrs
+		}
 	case "delete":
 		if _, ok := c.entries[key]; ok {
 			delete(c.entries, key)
 			c.invalidations++
-		}
-	case "modify":
-		cached, ok := c.entries[key]
-		if !ok {
-			return // cold entry stays cold until the trap path faults it in
-		}
-		for _, ch := range rec.Changes {
-			applyChange(cached, ch)
 		}
 	case "modifydn":
 		// A rename moves the whole subtree; drop the old names and let the
@@ -218,49 +221,12 @@ func (c *BeforeImageCache) applyLocked(rec directory.UpdateRecord) {
 		c.invalidateSubtreeLocked(key)
 	default:
 		// Unknown record shape: the safe reaction is a full flush.
-		c.entries = make(map[string]lexpress.Record)
+		c.entries = make(map[string]*directory.Attrs)
 		c.invalidations++
 	}
 }
 
-// applyChange mirrors the DIT's modify semantics on a cached record.
-func applyChange(rec lexpress.Record, ch directory.UpdateChange) {
-	switch ch.Op {
-	case "replace":
-		rec.Set(ch.Attr, ch.Values...)
-	case "add":
-		have := rec.Get(ch.Attr)
-		merged := append(append([]string(nil), have...), missingValues(have, ch.Values)...)
-		rec.Set(ch.Attr, merged...)
-	case "delete":
-		if len(ch.Values) == 0 {
-			rec.Set(ch.Attr) // removes the attribute
-			return
-		}
-		kept := missingValues(ch.Values, rec.Get(ch.Attr))
-		rec.Set(ch.Attr, kept...)
-	}
-}
-
-// missingValues returns the values in vs that are not in have.
-func missingValues(have, vs []string) []string {
-	var out []string
-	for _, v := range vs {
-		found := false
-		for _, h := range have {
-			if h == v {
-				found = true
-				break
-			}
-		}
-		if !found {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func (c *BeforeImageCache) storeLocked(key string, rec lexpress.Record) {
+func (c *BeforeImageCache) storeLocked(key string, a *directory.Attrs) {
 	if _, ok := c.entries[key]; !ok && len(c.entries) >= c.max {
 		for k := range c.entries {
 			delete(c.entries, k)
@@ -268,7 +234,7 @@ func (c *BeforeImageCache) storeLocked(key string, rec lexpress.Record) {
 			break
 		}
 	}
-	c.entries[key] = rec
+	c.entries[key] = a
 }
 
 func (c *BeforeImageCache) invalidateSubtreeLocked(key string) {
@@ -281,11 +247,11 @@ func (c *BeforeImageCache) invalidateSubtreeLocked(key string) {
 	}
 }
 
-// recordFromAttrs builds a Record from a directory attribute map.
-func recordFromAttrs(m map[string][]string) lexpress.Record {
-	rec := make(lexpress.Record, len(m))
-	for k, vs := range m {
+// recordFromAttrs copies a directory image into a Record.
+func recordFromAttrs(a *directory.Attrs) lexpress.Record {
+	rec := make(lexpress.Record, a.Len())
+	a.EachSorted(func(k string, vs []string) {
 		rec.Set(k, vs...)
-	}
+	})
 	return rec
 }

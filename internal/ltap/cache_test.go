@@ -150,6 +150,54 @@ func TestCacheFollowsAddAndDelete(t *testing.T) {
 	}
 }
 
+// TestCacheModifyMatchesDirectoryImage pins the cache to the directory's
+// own modify semantics: value deletes and adds compare values
+// case-insensitively, so after modifies whose values differ in case from
+// the stored ones the cached before-image must still equal what the
+// directory holds.
+func TestCacheModifyMatchesDirectoryImage(t *testing.T) {
+	d := directory.New(nil)
+	name := dn.MustParse("cn=Pat,o=Lucent")
+	for _, e := range []struct {
+		name  dn.DN
+		attrs map[string][]string
+	}{
+		{dn.MustParse("o=Lucent"), map[string][]string{"o": {"Lucent"}}},
+		{name, map[string][]string{"cn": {"Pat"}, "description": {"foo", "bar"}}},
+	} {
+		if err := d.Add(e.name, directory.AttrsFrom(e.attrs)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cache := NewBeforeImageCache(0)
+	cache.AttachChangelog(d)
+	defer cache.Close()
+
+	change := func(op ldap.ModOp, attr, value string) ldap.Change {
+		return ldap.Change{Op: op, Attribute: ldap.Attribute{Type: attr, Values: []string{value}}}
+	}
+	for i, changes := range [][]ldap.Change{
+		{change(ldap.ModDelete, "description", "FOO")},
+		{change(ldap.ModAdd, "description", "Qux"), change(ldap.ModDelete, "DESCRIPTION", "bAr")},
+		{change(ldap.ModAdd, "Description", "zed"), change(ldap.ModDelete, "description", "QUX")},
+	} {
+		if err := d.Modify(name, changes); err != nil {
+			t.Fatalf("modify %d: %v", i, err)
+		}
+		e, err := d.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := cache.Lookup(name.String())
+		if !ok {
+			t.Fatalf("modify %d: entry fell out of the cache", i)
+		}
+		if want := recordFromAttrs(e.Attrs); !got.Equal(want) {
+			t.Fatalf("modify %d: cached image %v, directory holds %v", i, got, want)
+		}
+	}
+}
+
 func TestCacheModifyDNInvalidatesOldName(t *testing.T) {
 	d := testDIT(t)
 	cache := NewBeforeImageCache(0)

@@ -3,9 +3,10 @@
 // make extensive use of replication to make directory information highly
 // available", §2); this package supplies it in multi-master form:
 //
-//   - a Publisher streams committed updates to any consumer over
-//     newline-delimited JSON. A consumer announces itself with a hello
-//     frame carrying its node id and changelog cursor; the publisher
+//   - a Publisher streams committed updates to any consumer as journal v2
+//     frames, the one encoding of an update record (directory.FrameEncoder),
+//     between one-byte-tagged control messages. A consumer announces itself
+//     with a hello carrying its node id and changelog cursor; the publisher
 //     either RESUMES it (replaying the tail of records after the cursor)
 //     or, when the in-memory tail no longer covers the cursor, ships a
 //     full exact-cut snapshot — entries with their origin stamps plus
@@ -27,11 +28,14 @@
 // any suffix of the stream is idempotent (losing/duplicate stamps are
 // silent no-ops), which is what makes the cursor protocol safe against
 // torn connections, duplicated frames, and crash-stale cursors.
+//
+// The peer-cursor file a Replicator persists is the one piece of this
+// package that stays JSON: it is local state, never on the wire.
 package replica
 
 import (
 	"bufio"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -43,51 +47,77 @@ import (
 	"metacomm/internal/ldap"
 )
 
-// wire message types.
+// The stream: a control message is one tag byte and two uvarint fields;
+// update records travel as journal v2 frames (directory.FrameEncoder), the
+// same encoding the journal holds, carrying only two ops — "entry" (a full
+// image upsert) and "delete" — each with its origin stamp.
+//
+//	consumer -> publisher   hello          node, cursor
+//	publisher -> consumer   resume         cursor, 0
+//	                        snapshot-begin seq, 0; then entry/delete frames
+//	                        snapshot-end   seq, entries sent
+//	                        change         seq, n; then n frames
+//
+// One source commit may decompose into several frames (a rename is
+// delete+upsert); they ship in ONE change group so the consumer's cursor
+// never lands between them. The tags lie outside ASCII and differ from the
+// frame marker, so a peer speaking anything else is refused at its first
+// byte rather than misparsed.
 const (
-	msgHello         = "hello"  // consumer -> publisher: node id + cursor
-	msgResume        = "resume" // publisher confirms tail resume from Seq
-	msgSnapshotBegin = "snapshot-begin"
-	msgSnapshotEntry = "entry" // one stamped snapshot entry
-	msgSnapshotTomb  = "tomb"  // one remembered delete
-	msgSnapshotEnd   = "snapshot-end"
-	msgChange        = "change"
+	msgHello = 0xA1 + iota
+	msgResume
+	msgSnapshotBegin
+	msgSnapshotEnd
+	msgChange
 )
 
-// wire record ops.
+// Record ops on the stream.
 const (
 	opEntry  = "entry"
 	opDelete = "delete"
 )
 
-// wireRecord is one replicated update: a full post-image upsert or a
-// delete, with the origin stamp that decides conflicts.
-type wireRecord struct {
-	Op    string              `json:"op"`
-	DN    string              `json:"dn"`
-	Attrs map[string][]string `json:"attrs,omitempty"`
-	OSeq  uint64              `json:"oseq"`
-	ONode uint32              `json:"onode"`
+func appendControl(b []byte, tag byte, x, y uint64) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint(append(b, tag), x), y)
 }
 
-// frame is one wire message.
-type frame struct {
-	Type string `json:"type"`
-	// Node/Cursor: hello only — the consumer's node id and the publisher
-	// commit seq its state already reflects.
-	Node   uint32 `json:"node,omitempty"`
-	Cursor uint64 `json:"cursor,omitempty"`
-	// Seq: for resume, the confirmed cursor; for snapshot-begin/-end, the
-	// commit seq the cut reflects; for change, the publisher commit seq
-	// the whole frame advances the consumer's cursor to.
-	Seq   uint64 `json:"seq,omitempty"`
-	Count int    `json:"count,omitempty"` // snapshot-end: entries sent
-	// Record: snapshot entry/tomb frames. Records: change frames — one
-	// source commit may decompose into several wire records (a rename is
-	// delete+upsert), shipped in ONE frame so the cursor never lands
-	// between them.
-	Record  *wireRecord  `json:"record,omitempty"`
-	Records []wireRecord `json:"records,omitempty"`
+// readControl reads one control message. A frame marker or an unknown tag
+// where a control message belongs is an error.
+func readControl(r *bufio.Reader) (tag byte, x, y uint64, err error) {
+	if tag, err = r.ReadByte(); err != nil {
+		return 0, 0, 0, err
+	}
+	if tag < msgHello || tag > msgChange {
+		return tag, 0, 0, fmt.Errorf("replica: unexpected message tag 0x%02x", tag)
+	}
+	if x, err = binary.ReadUvarint(r); err == nil {
+		y, err = binary.ReadUvarint(r)
+	}
+	return tag, x, y, err
+}
+
+// streamWriter frames one connection's outbound messages into its
+// buffered writer.
+type streamWriter struct {
+	w   *bufio.Writer
+	enc directory.FrameEncoder
+}
+
+func (sw *streamWriter) control(tag byte, x, y uint64) error {
+	_, err := sw.w.Write(appendControl(sw.w.AvailableBuffer(), tag, x, y))
+	return err
+}
+
+// record writes one stream record: an image upsert (opEntry) or a delete.
+func (sw *streamWriter) record(op, name string, image *directory.Attrs, seq uint64, st directory.Stamp) error {
+	rec := directory.UpdateRecord{Seq: seq, Op: op, DN: name, Attrs: image,
+		OriginSeq: st.Seq, OriginNode: st.Node}
+	b, err := sw.enc.Append(sw.w.AvailableBuffer(), &rec)
+	if err != nil {
+		return err
+	}
+	_, err = sw.w.Write(b)
+	return err
 }
 
 // PublisherStats counts one publisher's replication activity.
@@ -192,31 +222,27 @@ func (p *Publisher) serve(nc net.Conn) {
 		p.mu.Unlock()
 	}()
 
-	// The hello frame must arrive promptly; a consumer that dials and says
+	// The hello must arrive promptly; a consumer that dials and says
 	// nothing would otherwise pin a subscription forever.
 	nc.SetReadDeadline(time.Now().Add(30 * time.Second))
-	dec := json.NewDecoder(bufio.NewReader(nc))
-	var hello frame
-	if err := dec.Decode(&hello); err != nil || hello.Type != msgHello {
+	tag, _, cursor, err := readControl(bufio.NewReader(nc))
+	if err != nil || tag != msgHello {
 		return
 	}
 	nc.SetReadDeadline(time.Time{})
 
-	w := bufio.NewWriter(nc)
-	enc := json.NewEncoder(w)
-	send := func(f frame) bool { return enc.Encode(f) == nil }
-
+	sw := &streamWriter{w: bufio.NewWriter(nc)}
 	var changes <-chan directory.UpdateRecord
 	var cancel func()
-	if backlog, ch, cf, ok := p.DIT.SubscribeFrom(hello.Cursor, 4096); ok {
+	if backlog, ch, cf, ok := p.DIT.SubscribeFrom(cursor, 4096); ok {
 		p.resumes.Add(1)
 		changes, cancel = ch, cf
 		defer cancel()
-		if !send(frame{Type: msgResume, Seq: hello.Cursor}) {
+		if sw.control(msgResume, cursor, 0) != nil {
 			return
 		}
 		for i := range backlog {
-			if !p.sendChange(send, &backlog[i]) {
+			if p.sendChange(sw, &backlog[i]) != nil {
 				return
 			}
 		}
@@ -227,7 +253,7 @@ func (p *Publisher) serve(nc net.Conn) {
 		entries, tombs, seq, ch, cf := p.DIT.SnapshotReplicaAndSubscribe(4096)
 		changes, cancel = ch, cf
 		defer cancel()
-		if !send(frame{Type: msgSnapshotBegin, Seq: seq}) {
+		if sw.control(msgSnapshotBegin, seq, 0) != nil {
 			return
 		}
 		for i := range entries {
@@ -239,25 +265,21 @@ func (p *Publisher) serve(nc net.Conn) {
 				st = directory.Stamp{Seq: 1, Node: p.DIT.NodeID()}
 			}
 			p.sent.Add(1)
-			if !send(frame{Type: msgSnapshotEntry, Record: &wireRecord{
-				Op: opEntry, DN: entries[i].DN.String(), Attrs: entries[i].Attrs.Map(),
-				OSeq: st.Seq, ONode: st.Node}}) {
+			if sw.record(opEntry, entries[i].DN.String(), entries[i].Attrs, seq, st) != nil {
 				return
 			}
 		}
 		for i := range tombs {
 			p.sent.Add(1)
-			if !send(frame{Type: msgSnapshotTomb, Record: &wireRecord{
-				Op: opDelete, DN: tombs[i].Key,
-				OSeq: tombs[i].Stamp.Seq, ONode: tombs[i].Stamp.Node}}) {
+			if sw.record(opDelete, tombs[i].Key, nil, seq, tombs[i].Stamp) != nil {
 				return
 			}
 		}
-		if !send(frame{Type: msgSnapshotEnd, Seq: seq, Count: len(entries)}) {
+		if sw.control(msgSnapshotEnd, seq, uint64(len(entries))) != nil {
 			return
 		}
 	}
-	if w.Flush() != nil {
+	if sw.w.Flush() != nil {
 		return
 	}
 
@@ -278,7 +300,7 @@ func (p *Publisher) serve(nc net.Conn) {
 			if !ok {
 				return // overflow: consumer reconnects and resumes/resyncs
 			}
-			if !p.sendChange(send, &rec) {
+			if p.sendChange(sw, &rec) != nil {
 				return
 			}
 			// Drain whatever else is already buffered before flushing so a
@@ -289,14 +311,14 @@ func (p *Publisher) serve(nc net.Conn) {
 					if !ok {
 						return
 					}
-					if !p.sendChange(send, &rec) {
+					if p.sendChange(sw, &rec) != nil {
 						return
 					}
 				default:
 					drained = true
 				}
 			}
-			if w.Flush() != nil {
+			if sw.w.Flush() != nil {
 				return
 			}
 		case <-done:
@@ -305,79 +327,45 @@ func (p *Publisher) serve(nc net.Conn) {
 	}
 }
 
-// sendChange converts one committed record to wire form and sends it.
-// Returns false only on a send error; records that convert to nothing
-// (unstamped legacy history) are skipped.
-func (p *Publisher) sendChange(send func(frame) bool, rec *directory.UpdateRecord) bool {
-	wrs := p.wireRecords(rec)
-	if len(wrs) == 0 {
-		return true
-	}
-	p.sent.Add(uint64(len(wrs)))
-	return send(frame{Type: msgChange, Seq: rec.Seq, Records: wrs})
-}
-
-// wireRecords converts one changelog record into its replicated form:
-// full post-image upserts and stamped deletes. A rename decomposes into
-// delete(old)+upsert(new) under the rename's single stamp. Records
-// without a post-image in hand fall back to the live tree — the image
-// read may be newer than the record, but it ships under the record's
-// (older) stamp, so the later state's own record simply re-wins when it
-// arrives: convergence is unaffected.
-func (p *Publisher) wireRecords(rec *directory.UpdateRecord) []wireRecord {
+// sendChange ships one committed record as a change group of full-image
+// upserts and stamped deletes. A rename decomposes into delete(old) +
+// upsert(new) under the rename's single stamp. Every non-delete changelog
+// record carries the image its update left behind, so the tree is never
+// read here. Records that convert to nothing (unstamped legacy history,
+// which the snapshot fallback covers) are skipped.
+func (p *Publisher) sendChange(sw *streamWriter, rec *directory.UpdateRecord) error {
 	st := rec.Origin()
 	if st.IsZero() {
-		return nil // unstamped legacy record; snapshot fallback covers it
+		return nil
 	}
+	op, name, n := opEntry, rec.DN, uint64(1)
 	switch rec.Op {
-	case "add", "entry":
-		attrs := rec.Attrs
-		if img := rec.PostImage(); img != nil {
-			attrs = img.Map()
-		}
-		return []wireRecord{{Op: opEntry, DN: rec.DN, Attrs: attrs, OSeq: st.Seq, ONode: st.Node}}
-	case "modify":
-		attrs := p.postImageFor(rec, rec.DN)
-		if attrs == nil {
-			return nil // entry since deleted; its delete record follows
-		}
-		return []wireRecord{{Op: opEntry, DN: rec.DN, Attrs: attrs, OSeq: st.Seq, ONode: st.Node}}
+	case "add", "entry", "modify":
 	case "delete":
-		return []wireRecord{{Op: opDelete, DN: rec.DN, OSeq: st.Seq, ONode: st.Node}}
+		op = opDelete
 	case "modifydn":
-		name, err := dn.Parse(rec.DN)
-		if err != nil || name.IsRoot() {
+		old, err := dn.Parse(rec.DN)
+		if err != nil || old.IsRoot() {
 			return nil
 		}
 		newRDN, err := dn.Parse(rec.NewRDN)
 		if err != nil || newRDN.Depth() != 1 {
 			return nil
 		}
-		newDN := name.WithRDN(newRDN.RDN())
-		out := []wireRecord{{Op: opDelete, DN: rec.DN, OSeq: st.Seq, ONode: st.Node}}
-		if attrs := p.postImageFor(rec, newDN.String()); attrs != nil {
-			out = append(out, wireRecord{Op: opEntry, DN: newDN.String(), Attrs: attrs, OSeq: st.Seq, ONode: st.Node})
+		name, n = old.WithRDN(newRDN.RDN()).String(), 2
+	default:
+		return nil
+	}
+	p.sent.Add(n)
+	if err := sw.control(msgChange, rec.Seq, n); err != nil {
+		return err
+	}
+	if n == 2 {
+		if err := sw.record(opDelete, rec.DN, nil, rec.Seq, st); err != nil {
+			return err
 		}
-		return out
 	}
-	return nil
-}
-
-// postImageFor returns the record's post-image attributes, falling back
-// to the live tree at name when the record doesn't carry one.
-func (p *Publisher) postImageFor(rec *directory.UpdateRecord, name string) map[string][]string {
-	if img := rec.PostImage(); img != nil {
-		return img.Map()
-	}
-	parsed, err := dn.Parse(name)
-	if err != nil {
-		return nil
-	}
-	e, err := p.DIT.Get(parsed)
-	if err != nil {
-		return nil
-	}
-	return e.Attrs.Map()
+	return sw.record(op, name, rec.Attrs, rec.Seq, st)
 }
 
 // link is the consumer half of one replication connection: it dials a
@@ -462,88 +450,101 @@ func (l *link) session() error {
 		}
 	}()
 
-	w := bufio.NewWriter(nc)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(frame{Type: msgHello, Node: l.node, Cursor: l.cursor.Load()}); err != nil {
+	if _, err := nc.Write(appendControl(nil, msgHello, uint64(l.node), l.cursor.Load())); err != nil {
 		return err
 	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
+	return l.consume(bufio.NewReader(nc))
+}
 
-	dec := json.NewDecoder(bufio.NewReader(nc))
-	// Each frame decodes into a FRESH struct: json.Decoder merges into
-	// existing pointers/maps, which would silently fuse records.
-	var f frame
-	if err := dec.Decode(&f); err != nil {
+// consume reads one publisher stream — the catch-up (resume, or a
+// snapshot between snapshot-begin and snapshot-end), then change groups —
+// until it breaks. Anything off-protocol is an error that ends the
+// session; the link then redials.
+func (l *link) consume(r *bufio.Reader) error {
+	var dec directory.FrameDecoder
+	var rec directory.UpdateRecord
+	tag, seq, n, err := readControl(r)
+	if err != nil {
 		return err
 	}
-	switch f.Type {
+	switch tag {
 	case msgResume:
 		l.resumes.Add(1)
 	case msgSnapshotBegin:
 		l.resyncs.Add(1)
+		var entries uint64
 		for {
-			f = frame{}
-			if err := dec.Decode(&f); err != nil {
+			b, err := r.Peek(1)
+			if err != nil {
 				return err
 			}
-			if f.Type == msgSnapshotEnd {
+			if b[0] == msgSnapshotEnd {
 				break
 			}
-			if (f.Type != msgSnapshotEntry && f.Type != msgSnapshotTomb) || f.Record == nil {
-				return fmt.Errorf("replica: unexpected frame %q in snapshot", f.Type)
-			}
-			if err := l.applyOne(f.Record); err != nil {
+			if err := dec.Read(r, &rec); err != nil {
 				return err
 			}
+			if rec.Op == opEntry {
+				entries++
+			}
+			if err := l.applyOne(&rec); err != nil {
+				return err
+			}
+		}
+		if _, seq, n, err = readControl(r); err != nil {
+			return err
+		}
+		if n != entries {
+			return fmt.Errorf("replica: snapshot-end counts %d entries, stream carried %d", n, entries)
 		}
 		// The cut seq may be BELOW our stale cursor (publisher restarted
 		// with a fresh history); trusting it either way is safe because
 		// every apply is idempotent under LWW.
-		l.setCursor(f.Seq)
+		l.setCursor(seq)
 	default:
-		return fmt.Errorf("replica: bad stream start %q", f.Type)
+		return fmt.Errorf("replica: stream starts with message tag 0x%02x", tag)
 	}
 	l.connected.Store(true)
 	defer l.connected.Store(false)
 
 	for {
-		f = frame{}
-		if err := dec.Decode(&f); err != nil {
+		if tag, seq, n, err = readControl(r); err != nil {
 			return err
 		}
-		if f.Type != msgChange {
-			return fmt.Errorf("replica: unexpected frame %q in stream", f.Type)
+		if tag != msgChange {
+			return fmt.Errorf("replica: unexpected message tag 0x%02x in stream", tag)
 		}
-		for i := range f.Records {
-			if err := l.applyOne(&f.Records[i]); err != nil {
+		for i := uint64(0); i < n; i++ {
+			if err := dec.Read(r, &rec); err != nil {
+				return err
+			}
+			if err := l.applyOne(&rec); err != nil {
 				return err
 			}
 		}
-		// Cursor advances only after the WHOLE frame applied: a rename's
+		// Cursor advances only after the WHOLE group applied: a rename's
 		// delete+upsert pair is never torn by a reconnect between them.
-		l.setCursor(f.Seq)
+		l.setCursor(seq)
 	}
 }
 
-// applyOne feeds one wire record through LWW resolution. Structural
+// applyOne feeds one stream record through LWW resolution. Structural
 // conflicts (bad DN, missing parent, delete of a non-leaf, unstamped
 // record) are counted and skipped — they are per-record, not per-stream,
-// and re-delivery cannot fix them. Real failures (a poisoned local
+// and re-delivery cannot fix them. A record that is neither an image
+// upsert nor a delete is off-protocol, and real failures (a poisoned local
 // journal) abort the session.
-func (l *link) applyOne(wr *wireRecord) error {
-	name, err := dn.Parse(wr.DN)
+func (l *link) applyOne(rec *directory.UpdateRecord) error {
+	deleted := rec.Op == opDelete
+	if !deleted && rec.Op != opEntry {
+		return fmt.Errorf("replica: unexpected %q record in stream", rec.Op)
+	}
+	name, err := dn.Parse(rec.DN)
 	if err != nil {
 		l.structural.Add(1)
 		return nil
 	}
-	var image *directory.Attrs
-	if wr.Op != opDelete {
-		image = directory.AttrsFrom(wr.Attrs)
-	}
-	st := directory.Stamp{Seq: wr.OSeq, Node: wr.ONode}
-	res, err := l.d.ApplyRemote(name, image, st, wr.Op == opDelete)
+	res, err := l.d.ApplyRemote(name, rec.Attrs, rec.Origin(), deleted)
 	if err != nil {
 		switch directory.CodeOf(err) {
 		case ldap.ResultNoSuchObject, ldap.ResultNotAllowedOnNonLeaf,

@@ -651,6 +651,11 @@ type outboxJournal struct {
 
 // openOutboxJournal opens (creating if needed) the device's journal and
 // returns the unacknowledged backlog in seq order plus the highest seq seen.
+// An unterminated final line is the one shape a crash mid-append leaves; it
+// is dropped (the open-time compaction rewrites the file without it). A
+// complete line that does not parse is damage, not a tear: the open fails
+// naming the file and leaves it exactly as it was, since compacting past it
+// would silently drop every record after it.
 func openOutboxJournal(dir, deviceName string) (*outboxJournal, []*outboxRecord, uint64, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, 0, err
@@ -662,18 +667,23 @@ func openOutboxJournal(dir, deviceName string) (*outboxJournal, []*outboxRecord,
 	}
 	pending := map[uint64]*outboxRecord{}
 	var maxSeq uint64
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
+	br := bufio.NewReaderSize(f, 64*1024)
+	for lineNo := 1; ; lineNo++ {
+		line, err := br.ReadBytes('\n')
+		if err == io.EOF {
+			break // a non-empty remainder is the torn tail
+		}
+		if err != nil {
+			f.Close()
+			return nil, nil, 0, fmt.Errorf("%s: %w", path, err)
+		}
+		if len(line) == 1 {
 			continue
 		}
 		var rec outboxRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
-			// A torn trailing line from a crash mid-append; everything up
-			// to it already parsed. Stop here — compaction will drop it.
-			break
+			f.Close()
+			return nil, nil, 0, fmt.Errorf("%s: line %d is damaged: %v", path, lineNo, err)
 		}
 		if rec.Seq > maxSeq {
 			maxSeq = rec.Seq

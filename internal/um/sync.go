@@ -922,9 +922,10 @@ func clobbered(recs []deltaRecord) bool {
 }
 
 // reapplyExternal re-applies the external records' content in commit order,
-// restoring any external update a bulk writeback overwrote. Add records
-// re-assert their attributes; structural ops (delete, modifydn) are left to
-// the live-state reconciliation.
+// restoring any external update a bulk writeback overwrote. Modify records
+// replay their changes; add and entry records re-assert their committed
+// image; structural ops (delete, modifydn) are left to the live-state
+// reconciliation.
 func (e *syncEngine) reapplyExternal(d *dirtyDN) {
 	for _, r := range d.recs {
 		if r.own {
@@ -938,10 +939,10 @@ func (e *syncEngine) reapplyExternal(d *dirtyDN) {
 					Attribute: ldap.Attribute{Type: c.Attr, Values: c.Values}})
 			}
 		case "add", "entry":
-			for attr, vals := range r.rec.Attrs {
+			r.rec.Attrs.EachSorted(func(attr string, vals []string) {
 				changes = append(changes, ldap.Change{Op: ldap.ModReplace,
 					Attribute: ldap.Attribute{Type: attr, Values: vals}})
-			}
+			})
 		default:
 			continue
 		}

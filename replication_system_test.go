@@ -4,12 +4,15 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	metacomm "metacomm"
+	"metacomm/internal/directory"
+	"metacomm/internal/dn"
 	"metacomm/internal/ldap"
 )
 
@@ -222,5 +225,76 @@ func TestMultiMasterWritesAnywhereConverge(t *testing.T) {
 	got := entries[0].First("roomNumber")
 	if got != "from-A" && got != "from-B" {
 		t.Fatalf("converged roomNumber = %q, want one of the two writes", got)
+	}
+}
+
+// TestMeshCloseLeavesNoGoroutines closes a two-node mesh while its
+// replication streams are live — the joiner mid catch-up (a snapshot, or a
+// resume replaying the changelog tail) while writes keep the change stream
+// busy — and requires every goroutine the
+// two systems started (publisher serve loops and disconnect watchers, link
+// sessions and their stop watchers, UM, gateway, servers) to exit.
+func TestMeshCloseLeavesNoGoroutines(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+
+	addrB := freePort(t)
+	a, err := metacomm.Start(metacomm.Config{NodeID: 1, ReplicationAddr: "127.0.0.1:0", Peers: []string{addrB}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const people = 5000
+	for i := 0; i < people; i++ {
+		cn := fmt.Sprintf("Leak %04d", i)
+		if err := a.DIT.Add(dn.MustParse("cn="+cn+",o=Lucent"), directory.AttrsFrom(map[string][]string{
+			"objectClass": {"mcPerson"}, "cn": {cn}, "sn": {"Leak"}})); err != nil {
+			a.Close()
+			t.Fatal(err)
+		}
+	}
+	b, err := metacomm.Start(metacomm.Config{NodeID: 2, ReplicationAddr: addrB, Peers: []string{a.ReplicationAddrActual}})
+	if err != nil {
+		a.Close()
+		t.Fatal(err)
+	}
+
+	// Keep A's change stream busy while B catches up.
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			a.DIT.Modify(dn.MustParse(fmt.Sprintf("cn=Leak %04d,o=Lucent", i%people)), []ldap.Change{{
+				Op: ldap.ModReplace, Attribute: ldap.Attribute{Type: "roomNumber", Values: []string{fmt.Sprint(i)}}}})
+		}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if ps := b.Replicator.Stats().Peers; len(ps) == 1 && ps[0].Snapshots+ps[0].Resumes > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("joiner never started its catch-up")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	b.Close()
+	close(stop)
+	wg.Wait()
+	a.Close()
+
+	deadline = time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after Close, %d before Start:\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -24,6 +24,7 @@ go test -fuzz=FuzzDecode -fuzztime=10s ./internal/ber/
 go test -fuzz=FuzzParse -fuzztime=10s ./internal/lexpress/
 go test -fuzz=FuzzCompilePattern -fuzztime=10s ./internal/lexpress/
 go test -fuzz=FuzzJournalV2Record -fuzztime=10s ./internal/directory/
+go test -fuzz=FuzzReplicationStream -fuzztime=10s ./internal/replica/
 go test -run '^$' -bench . -benchtime=1x .
 # Wire-path load-generator smoke: spawn an in-process system, drive it for
 # two seconds, and verify the machine-readable benchmark record is written.
